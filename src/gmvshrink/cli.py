@@ -138,6 +138,8 @@ def _cmd_simulate(args):
 
 
 def _load_series(args):
+    if args.n < 1:
+        _fail(EXIT_CONFIG, "config", f"--n must be at least 1, got {args.n}")
     try:
         dates, names, returns = read_returns_csv(args.input)
     except OSError as exc:

@@ -150,8 +150,9 @@ def solve_spd(mat, rhs, n_obs=None):
     return linalg.cho_solve(factor, np.asarray(rhs, dtype=np.float64), check_finite=False)
 
 
-def precision_ones_form(cov, n_obs=None):
-    """Return the scalar ``1' cov^{-1} 1`` through an SPD solve."""
+def _solve_ones(cov, n_obs):
+    """``cov^{-1} 1`` and its total ``1' cov^{-1} 1``, which must be positive."""
+    cov = np.asarray(cov, dtype=np.float64)
     solved = solve_spd(cov, np.ones(cov.shape[0]), n_obs=n_obs)
     total = float(solved.sum())
     if total <= 0.0:
@@ -160,7 +161,12 @@ def precision_ones_form(cov, n_obs=None):
             n_assets=cov.shape[0],
             n_obs=n_obs,
         )
-    return total
+    return solved, total
+
+
+def precision_ones_form(cov, n_obs=None):
+    """Return the scalar ``1' cov^{-1} 1`` through an SPD solve."""
+    return _solve_ones(cov, n_obs)[1]
 
 
 def gmv_weights(cov, n_obs=None):
@@ -174,15 +180,7 @@ def gmv_weights(cov, n_obs=None):
     n_obs : int, optional
         Sample size behind ``cov``; attached to singularity errors.
     """
-    cov = np.asarray(cov, dtype=np.float64)
-    solved = solve_spd(cov, np.ones(cov.shape[0]), n_obs=n_obs)
-    total = float(solved.sum())
-    if total <= 0.0:
-        raise SingularityError(
-            "quadratic form 1'S^{-1}1 is not positive (matrix treated as singular)",
-            n_assets=cov.shape[0],
-            n_obs=n_obs,
-        )
+    solved, total = _solve_ones(cov, n_obs)
     return solved / total
 
 
@@ -253,13 +251,8 @@ def estimate_target_loss(block, target):
     under high-dimensional asymptotics; requires ``n > p + 1``.
     """
     block = as_returns_block(block)
-    p, n = block.shape
-    if n <= p + 1:
-        raise InsufficientSampleError(
-            f"target-loss estimation needs n > p + 1, got p={p}, n={n}"
-        )
     _, cov = sample_moments(block)
-    return estimate_target_loss_from_cov(cov, n, target)
+    return estimate_target_loss_from_cov(cov, block.shape[1], target)
 
 
 @dataclass

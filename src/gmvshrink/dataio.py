@@ -131,7 +131,8 @@ def read_external_weights(path, n_assets=None):
 
     Accepts the format written by write_weights_csv: optional ``#``
     comment lines, a header ``period`` plus one column per asset, one
-    row per rebalancing period in order.
+    row per rebalancing period in order. The period column must read
+    ``1, 2, ..., T``.
     """
     history = []
     with open(path, newline="") as handle:
@@ -157,6 +158,10 @@ def read_external_weights(path, n_assets=None):
         if len(row) != len(header):
             raise DataFileError(
                 f"{path}, row {line_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        if row[0] != str(len(history) + 1):
+            raise DataFileError(
+                f"{path}, row {line_no}: expected period {len(history) + 1}, got {row[0]!r}"
             )
         try:
             weights = [float(cell) for cell in row[1:]]

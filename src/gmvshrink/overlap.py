@@ -2,16 +2,22 @@
 
 Here period ``i`` re-estimates the sample minimum-variance portfolio from
 the pooled data of all windows so far (size ``N_i``), so consecutive sample
-portfolios share data and are correlated. The limiting loss recursion
-therefore couples every past period to the current one through a
-cross-window coefficient and a mixing coefficient ``K`` that track how much
-of the holding portfolio already overlaps the new estimate.
+portfolios share data and are correlated. The holding portfolio is a convex
+mixture of the target, with remaining share ``beta0 = prod(1 - psi_j)``, and
+of past pooled sample portfolios; its alignment with the newest estimate
+enters the loss recursion as a mixing coefficient ``K``.
 
 The cross coefficient of two nested pooled sample portfolios is
 ``1 / (1 - c_i)``, which depends only on the newer window's concentration
 ``c_i = p / N_i``. It follows from the matrix-beta law of
 ``C^{-1/2} A C^{-1/2}`` for nested Gram matrices ``A`` and ``C``, and
-direct simulation of nested pooled sample portfolios agrees with it.
+direct simulation of nested pooled sample portfolios agrees with it. Every
+past sample portfolio thus enters ``K`` with the same coefficient, so
+``K = beta0 + (1 - beta0) / (1 - c_i)`` in closed form, and the pipeline
+runs the recursion of :mod:`gmvshrink.nonoverlap` with the excess
+``K - 1 = (1 - beta0) p / (N_i - p)``, which is exactly zero in the first
+period. :func:`cross_term`, :func:`optimal_intensity` and :func:`next_loss`
+state the limit forms in terms of ``K`` and ``C``.
 
 The same three initializations as the non-overlapping pipeline exist
 (``fixed``, ``replay``, ``prior-sample``). Only the first pooled window must
@@ -20,29 +26,21 @@ exceed the asset count; later increments may be arbitrarily short.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import nonoverlap
 from .core import (
     DegenerateInputError,
     DimensionError,
     InsufficientSampleError,
     PooledStats,
     as_returns_block,
-    as_weight_vector,
-    estimate_target_loss_from_cov,
     gmv_weights,
-    sample_gmv_weights,
     sample_moments,
 )
-from .nonoverlap import feasible_intensity
-
-logger = logging.getLogger(__name__)
-
-MODES = ("fixed", "replay", "prior-sample")
+from .nonoverlap import MODES, _entering, _start, cross_excess, feasible_intensity  # noqa: F401
 
 
 def cross_term(c_earlier, c_later):
@@ -68,37 +66,6 @@ def cross_term(c_earlier, c_later):
             f"need 0 < c_later <= c_earlier < 1, got c_earlier={c_earlier}, c_later={c_later}"
         )
     return 1.0 / (1.0 - c_later)
-
-
-def mixing_coefficient(betas, cross_terms):
-    """Alignment of the holding portfolio with the newest sample estimate.
-
-    ``betas`` are the convex-combination coefficients of the holding
-    portfolio over the target (index 0) and all past sample portfolios;
-    ``cross_terms`` holds one cross coefficient per past sample portfolio,
-    aligned with ``betas[1:]``. The target contributes with coefficient 1.
-    """
-    if len(cross_terms) != len(betas) - 1:
-        raise ValueError(
-            f"expected {len(betas) - 1} cross terms for {len(betas)} betas, "
-            f"got {len(cross_terms)}"
-        )
-    return float(betas[0] + sum(b * d for b, d in zip(betas[1:], cross_terms)))
-
-
-def _clamp_mixing(mixing, c):
-    """Keep ``K`` in ``[1, 1/(1 - C)]``, the range a convex mixture of the
-    target (coefficient 1) and past sample portfolios (``1/(1 - C)`` each)
-    spans. Once the target's share has decayed to nothing, rounding in the
-    mixture weights routinely lands a few ulps above the upper end; only a
-    larger excursion is worth a warning."""
-    upper = 1.0 / (1.0 - c)
-    clamped = min(upper, max(1.0, mixing))
-    if abs(clamped - mixing) > 1e-12 * upper:
-        logger.warning(
-            "mixing coefficient %.6g outside [1, %.6g], clamping", mixing, upper
-        )
-    return clamped
 
 
 def optimal_intensity(prev_loss, mixing, c):
@@ -127,58 +94,7 @@ def next_loss(intensity, c, prev_loss, mixing):
     below at zero; with ``K = 1`` this is exactly the non-overlapping
     recursion.
     """
-    if not 0.0 <= intensity <= 1.0:
-        raise ValueError(f"intensity must lie in [0, 1], got {intensity}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"concentration must lie in (0, 1), got {c}")
-    if prev_loss < 0.0:
-        raise ValueError(f"relative loss must be nonnegative, got {prev_loss}")
-    value = (
-        intensity * intensity * c / (1.0 - c)
-        + (1.0 - intensity) ** 2 * prev_loss
-        + 2.0 * intensity * (1.0 - intensity) * (mixing - 1.0)
-    )
-    return max(0.0, value)
-
-
-def extend_mixture(betas, intensity):
-    """Scale existing mixture coefficients by ``1 - Psi`` and append ``Psi``."""
-    return tuple((1.0 - intensity) * b for b in betas) + (float(intensity),)
-
-
-class ScheduleResult(NamedTuple):
-    """Scalar recursion trace over a sequence of pooled concentrations."""
-
-    intensities: tuple
-    losses: tuple
-    mixings: tuple
-    betas: tuple
-
-
-def intensity_schedule(initial_loss, concentrations):
-    """Run the coupled scalar recursion over pooled concentrations.
-
-    The recursion is a pure function of the initial loss and the
-    concentration sequence; data enters only through ``initial_loss``.
-    Cross coefficients for each period are recomputed from the stored
-    concentrations, so replaying a schedule is exact.
-    """
-    betas = (1.0,)
-    loss = float(initial_loss)
-    intensities = []
-    losses = []
-    mixings = []
-    concentrations = tuple(float(c) for c in concentrations)
-    for i, c_i in enumerate(concentrations):
-        cross = [cross_term(concentrations[j], c_i) for j in range(i)]
-        mixing = _clamp_mixing(mixing_coefficient(betas, cross), c_i)
-        psi = optimal_intensity(loss, mixing, c_i)
-        loss = next_loss(psi, c_i, loss, mixing)
-        betas = extend_mixture(betas, psi)
-        intensities.append(psi)
-        losses.append(loss)
-        mixings.append(mixing)
-    return ScheduleResult(tuple(intensities), tuple(losses), tuple(mixings), betas)
+    return nonoverlap.next_loss(intensity, c, prev_loss, mixing - 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,9 +103,10 @@ class OverlapState:
 
     ``counts`` stores the pooled observation counts ``N_1 < N_2 < ...``;
     concentrations are derived from them on demand so they stay exact
-    rationals evaluated in double precision. ``betas`` always sums to one,
-    being the mixture decomposition of the holding portfolio over the target
-    and all past pooled sample portfolios.
+    rationals evaluated in double precision. ``target_share`` is the
+    target's remaining share ``prod(1 - psi)`` in the holding portfolio's
+    mixture (of the replayed schedule in replay mode); the rest is spread
+    over past pooled sample portfolios.
     """
 
     n_assets: int
@@ -200,11 +117,9 @@ class OverlapState:
     initial_loss: float
     period: int = 0
     counts: tuple = ()
-    betas: tuple = (1.0,)
+    target_share: float = 1.0
     intensity_history: tuple = ()
     pooled: PooledStats | None = None
-    initial_loss_history: tuple = ()
-    sample_weights: tuple = ()
 
     @property
     def concentrations(self):
@@ -218,32 +133,8 @@ def init(target, first_block=None, mode="fixed"):
     intensity schedule becomes fully deterministic given the window sizes,
     since the initial loss ``p / (n0 - p)`` involves no unknown quantities.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-    if mode == "prior-sample":
-        prior = as_returns_block(target)
-        p, n0 = prior.shape
-        if n0 <= p + 1:
-            raise InsufficientSampleError(
-                f"prior-sample mode needs n0 > p + 1, got p={p}, n0={n0}"
-            )
-        target_weights = sample_gmv_weights(prior)
-        initial_loss = p / (n0 - p)
-    else:
-        target_weights = as_weight_vector(target)
-        p = target_weights.shape[0]
-        initial_loss = float("nan")  # estimated from the first pooled window
-
-    state = OverlapState(
-        n_assets=p,
-        mode=mode,
-        target=target_weights,
-        weights=target_weights,
-        loss=initial_loss,
-        initial_loss=initial_loss,
-        pooled=PooledStats(p),
-    )
+    fields = _start(target, mode)
+    state = OverlapState(**fields, pooled=PooledStats(fields["n_assets"]))
     if first_block is None:
         return state
     return step(state, first_block)
@@ -259,9 +150,10 @@ def step(state, block):
         )
 
     pooled = state.pooled.updated(block)
-    if state.period == 0 and pooled.count <= p + 1:
+    n = pooled.count
+    if state.period == 0 and n <= p + 1:
         raise InsufficientSampleError(
-            f"first pooled window needs N > p + 1, got p={p}, N={pooled.count}"
+            f"first pooled window needs N > p + 1, got p={p}, N={n}"
         )
 
     if state.period == 0:
@@ -271,63 +163,21 @@ def step(state, block):
         _, pooled_cov = sample_moments(block)
     else:
         pooled_cov = pooled.cov()
-    pooled_weights = gmv_weights(pooled_cov, n_obs=pooled.count)
-    counts = state.counts + (pooled.count,)
-    concentrations = tuple(p / n for n in counts)
+    pooled_weights = gmv_weights(pooled_cov, n_obs=n)
 
-    initial_loss = state.initial_loss
-    initial_loss_history = state.initial_loss_history
-    stored_samples = state.sample_weights
-
-    if state.mode == "replay":
-        # Re-estimate the target loss from the full pooled sample, then
-        # replay the coupled recursion across every period so far.
-        start_loss = estimate_target_loss_from_cov(
-            pooled_cov, pooled.count, state.target
-        )
-        if state.period == 0:
-            initial_loss = start_loss
-        schedule = intensity_schedule(start_loss, concentrations)
-        psi = schedule.intensities[-1]
-        new_loss = schedule.losses[-1]
-        betas = schedule.betas
-        initial_loss_history = initial_loss_history + (start_loss,)
-        stored_samples = stored_samples + (pooled_weights,)
-    else:
-        if state.period == 0:
-            if state.mode == "fixed":
-                initial_loss = estimate_target_loss_from_cov(
-                    pooled_cov, pooled.count, state.target
-                )
-            prev_loss = initial_loss
-        else:
-            prev_loss = state.loss
-        c_i = concentrations[-1]
-        cross = [cross_term(concentrations[j], c_i) for j in range(state.period)]
-        mixing = _clamp_mixing(mixing_coefficient(state.betas, cross), c_i)
-        if state.period == 0:
-            # Nothing overlaps a first window (K is exactly 1), so the
-            # one-window plug-in intensity applies verbatim.
-            psi = feasible_intensity(pooled.count, p, prev_loss)
-        else:
-            psi = optimal_intensity(prev_loss, mixing, c_i)
-        new_loss = next_loss(psi, c_i, prev_loss, mixing)
-        betas = extend_mixture(state.betas, psi)
-
-    new_weights = psi * pooled_weights + (1.0 - psi) * state.weights
-
-    return OverlapState(
-        n_assets=p,
-        mode=state.mode,
-        target=state.target,
-        weights=new_weights,
-        loss=new_loss,
+    initial_loss, prev_loss, share = _entering(
+        state, pooled_cov, n, state.counts, extending=True
+    )
+    excess = cross_excess(share, n, p)
+    psi = feasible_intensity(n, p, prev_loss, excess)
+    return replace(
+        state,
+        weights=psi * pooled_weights + (1.0 - psi) * state.weights,
+        loss=nonoverlap.next_loss(psi, p / n, prev_loss, excess),
         initial_loss=initial_loss,
         period=state.period + 1,
-        counts=counts,
-        betas=betas,
+        counts=state.counts + (n,),
+        target_share=share * (1.0 - psi),
         intensity_history=state.intensity_history + (psi,),
         pooled=pooled,
-        initial_loss_history=initial_loss_history,
-        sample_weights=stored_samples,
     )

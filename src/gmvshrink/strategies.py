@@ -61,8 +61,7 @@ def one_period_shrinkage(block, target):
     b = as_weight_vector(target, n_assets=p)
     _, cov = sample_moments(block)
     target_loss = estimate_target_loss_from_cov(cov, n, b)
-    c = p / n
-    psi = (1.0 - c) * target_loss / (c + (1.0 - c) * target_loss)
+    psi = nonoverlap.optimal_intensity(p / n, target_loss)
     sample_weights = gmv_weights(cov, n_obs=n)
     return psi * sample_weights + (1.0 - psi) * b
 

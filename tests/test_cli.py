@@ -213,6 +213,18 @@ def test_backtest_series_shorter_than_one_window(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["backtest", "weights"])
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_window_length_below_one_is_config_error(tmp_path, capsys, command, window):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=20, seed=17)
+    rc = main(
+        [command, "--input", str(csv_path), "--strategy", "6",
+         "--n", window, "--seed", "1"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("gmvshrink: config error: --n must be at least 1")
+
+
 def test_external_strategy_requires_weights_file(tmp_path, capsys):
     csv_path = _write_returns(tmp_path / "r.csv", p=3, days=20, seed=19)
     rc = main(

@@ -128,6 +128,15 @@ def test_external_weights_reader_needs_period_header(tmp_path):
         read_external_weights(str(path))
 
 
+def test_external_weights_reader_requires_periods_in_order(tmp_path):
+    path = _write(tmp_path, "period,x,y\n2,0.5,0.5\n1,0.4,0.6\n", name="w.csv")
+    with pytest.raises(DataFileError, match="row 2: expected period 1, got '2'"):
+        read_external_weights(str(path))
+    path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
+    with pytest.raises(DataFileError, match="row 3: expected period 2, got '3'"):
+        read_external_weights(str(path))
+
+
 # ---------------------------------------------------------------------------
 # config hash
 # ---------------------------------------------------------------------------

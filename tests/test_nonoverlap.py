@@ -15,6 +15,8 @@ from gmvshrink import nonoverlap
 from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
+    estimate_target_loss,
+    estimate_target_loss_from_cov,
     gmv_weights,
     relative_loss,
     sample_moments,
@@ -221,21 +223,25 @@ def test_weights_stay_fully_invested():
 
 
 def test_replay_reconstruction_is_bitwise():
-    """Stored intensities and sample portfolios rebuild the weights exactly."""
+    """Recorded intensities and the blocks' sample portfolios rebuild the
+    weights exactly."""
     rng = np.random.default_rng(107)
     b = np.full(12, 1 / 12)
+    blocks = [rng.standard_normal((12, 40)) for _ in range(5)]
     state = init(b, mode="replay")
-    for _ in range(5):
-        state = step(state, rng.standard_normal((12, 40)))
+    for block in blocks:
+        state = step(state, block)
     w = state.target
-    for rec, sw in zip(state.history, state.sample_weights):
+    for rec, block in zip(state.history, blocks):
+        sw = gmv_weights(sample_moments(block)[1])
         w = rec.intensity * sw + (1.0 - rec.intensity) * w
     np.testing.assert_array_equal(w, state.weights)
-    assert len(state.initial_loss_history) == 5
+    assert len(state.history) == 5
 
 
 def test_replay_reestimates_from_pooled_sample():
-    """Each period's target-loss estimate uses the pooled covariance."""
+    """Each period's intensity replays the recursion from a target-loss
+    estimate on the pooled covariance."""
     rng = np.random.default_rng(109)
     b = np.full(6, 1 / 6)
     blocks = [rng.standard_normal((6, 20)) for _ in range(3)]
@@ -244,10 +250,11 @@ def test_replay_reestimates_from_pooled_sample():
         state = step(state, block)
     stacked = np.hstack(blocks)
     _, pooled_cov = sample_moments(stacked)
-    from gmvshrink.core import estimate_target_loss_from_cov
-
-    expected = estimate_target_loss_from_cov(pooled_cov, stacked.shape[1], b)
-    assert state.initial_loss_history[-1] == pytest.approx(expected, rel=1e-9)
+    start = estimate_target_loss_from_cov(pooled_cov, stacked.shape[1], b)
+    expected, _ = replay_intensities(start, [20, 20, 20], 6)
+    assert state.intensities[-1] == pytest.approx(expected[-1], rel=1e-9)
+    # the initial loss stays the first window's estimate
+    assert state.initial_loss == pytest.approx(estimate_target_loss(blocks[0], b), rel=1e-9)
 
 
 def test_intensity_tracks_population_oracle():

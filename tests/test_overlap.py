@@ -2,37 +2,43 @@
 
 Covers:
 - the cross-window coefficient ``1 / (1 - c_later)`` and its values
-- the mixing coefficient and the coupled intensity/loss recursion
-- reduction to the fresh-window recursion when nothing overlaps
-- the intensity schedule and the stateful stepping interface
+- the closed-form mixing coefficient ``K = beta0 + (1 - beta0) / (1 - c)``
+  against the general mixture sum, and the limit-form intensity/loss
+- the finite-sample recursion with the mixing excess ``K - 1``: its
+  agreement with the limit form, its reduction to the fresh-window
+  recursion when nothing overlaps, and its exactness once the target's
+  share has gone
+- the extending-window schedule and the stateful stepping interface
 - the identity linking the cross coefficient to the two-sample
   resolvent constant at matched concentrations
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
-from gmvshrink import nonoverlap, overlap
+from gmvshrink import nonoverlap
 from gmvshrink.core import (
     DegenerateInputError,
     DimensionError,
     InsufficientSampleError,
+    PooledStats,
+    gmv_weights,
     sample_moments,
 )
+from gmvshrink.nonoverlap import cross_excess, feasible_intensity, replay_intensities
 from gmvshrink.overlap import (
     OverlapState,
     cross_term,
-    extend_mixture,
     init,
-    intensity_schedule,
-    mixing_coefficient,
     next_loss,
     optimal_intensity,
     step,
 )
 from gmvshrink.rmt import cross_resolvent_constant
+from gmvshrink.sim import build_population, generate
 
 # ---------------------------------------------------------------------------
 # cross_term
@@ -71,34 +77,36 @@ def test_cross_term_validation():
 
 
 # ---------------------------------------------------------------------------
-# mixing_coefficient
+# mixing coefficient K = 1 + cross_excess
 # ---------------------------------------------------------------------------
 
 
-def test_mixing_with_no_past_windows_is_target_beta():
-    assert mixing_coefficient((1.0,), []) == 1.0
-    assert mixing_coefficient((0.3,), []) == 0.3
+def test_cross_excess_endpoints():
+    # only the target held: K is exactly 1
+    assert cross_excess(1.0, 40, 10) == 0.0
+    # target gone: K sits at its upper end 1 / (1 - C)
+    assert 1.0 + cross_excess(0.0, 40, 10) == pytest.approx(4 / 3, abs=1e-15)
+    with pytest.raises(InsufficientSampleError):
+        cross_excess(0.5, 10, 10)
 
 
 def test_mixing_weighted_sum():
-    assert mixing_coefficient((0.5, 0.5), (2 / 3,)) == pytest.approx(5 / 6)
-
-
-def test_mixing_alignment_check():
-    with pytest.raises(ValueError):
-        mixing_coefficient((0.5, 0.5), ())
-
-
-def test_mixing_clamp_range_and_rounding(caplog):
-    """K is kept in [1, 1/(1-C)]; rounding past the upper end is silent."""
-    upper = 1.0 / (1.0 - 0.1)
-    with caplog.at_level(logging.WARNING, logger="gmvshrink.overlap"):
-        assert overlap._clamp_mixing(1.05, 0.1) == 1.05
-        assert overlap._clamp_mixing(upper * (1.0 + 4e-16), 0.1) == upper
-        assert not caplog.records
-        assert overlap._clamp_mixing(0.5, 0.1) == 1.0
-        assert overlap._clamp_mixing(1.5, 0.1) == upper
-    assert len(caplog.records) == 2
+    """beta0 + sum_j beta_j * cross_term(c_j, c_i) collapses to the closed form."""
+    rng = np.random.default_rng(113)
+    for _ in range(50):
+        p = int(rng.integers(2, 60))
+        counts = np.cumsum(rng.integers(1, 40, size=6)) + p + 1
+        intensities = rng.uniform(0.0, 1.0, size=len(counts) - 1)
+        betas = [1.0]
+        for psi in intensities:
+            betas = [(1.0 - psi) * b for b in betas] + [psi]
+        c_i = p / counts[-1]
+        mixture = betas[0] + sum(
+            b * cross_term(p / n, c_i) for b, n in zip(betas[1:], counts[:-1])
+        )
+        closed = 1.0 + cross_excess(betas[0], counts[-1], p)
+        assert closed == pytest.approx(mixture, rel=1e-12)
+        assert 1.0 <= closed <= 1.0 / (1.0 - c_i)
 
 
 # ---------------------------------------------------------------------------
@@ -145,47 +153,50 @@ def test_next_loss_clamps_below_zero():
 
 
 # ---------------------------------------------------------------------------
-# extend_mixture
+# finite-sample recursion with the mixing excess
 # ---------------------------------------------------------------------------
 
 
-def test_extend_mixture_values():
-    assert extend_mixture((1.0,), 0.4) == (0.6, 0.4)
-    first = extend_mixture((1.0,), 0.4)
-    assert extend_mixture(first, 0.5) == (0.3, 0.2, 0.5)
-    assert extend_mixture((1.0,), 0.0) == (1.0, 0.0)
-
-
-def test_extend_mixture_preserves_total():
+def test_feasible_intensity_matches_limit_form():
+    """The excess form is the limit form at K = 1 + excess and C = p / N."""
     rng = np.random.default_rng(137)
-    betas = (1.0,)
-    for _ in range(30):
-        betas = extend_mixture(betas, float(rng.uniform(0.0, 1.0)))
-        assert abs(sum(betas) - 1.0) < 1e-12
-        assert all(b >= 0.0 for b in betas)
+    for _ in range(200):
+        p = int(rng.integers(1, 100))
+        n = p + int(rng.integers(2, 300))
+        excess = cross_excess(float(rng.uniform(0.0, 1.0)), n, p)
+        r = float(rng.uniform(0.0, 4.0))
+        expected = optimal_intensity(r, 1.0 + excess, p / n)
+        assert feasible_intensity(n, p, r, excess) == pytest.approx(expected, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# intensity_schedule
-# ---------------------------------------------------------------------------
+def test_feasible_intensity_is_exactly_one_once_target_is_gone():
+    """At the largest excess the denominator equals the numerator exactly."""
+    for p in (1, 6, 25, 40, 90, 100):
+        for n in range(p + 2, p + 400):
+            excess = cross_excess(0.0, n, p)
+            r = excess * 1.5 + 0.01
+            assert feasible_intensity(n, p, r, excess) == 1.0
 
 
 def test_schedule_first_mixing_is_exactly_one():
-    result = intensity_schedule(1.0, [0.5, 0.25])
-    assert result.mixings[0] == 1.0
-    assert result.mixings[1] > 1.0
+    """Nothing overlaps the first pooled window, so K is exactly one and the
+    first intensity is the fresh-window one, bit for bit; later K exceeds one."""
+    intensities, _ = replay_intensities(1.0, [20, 40], 10, extending=True)
+    fresh, _ = replay_intensities(1.0, [20, 40], 10)
+    assert intensities[0] == fresh[0]
+    assert intensities[1] != fresh[1]
 
 
 def test_schedule_is_deterministic():
-    concentrations = [0.5, 1 / 3, 0.25, 0.2]
-    a = intensity_schedule(0.8, concentrations)
-    b = intensity_schedule(0.8, concentrations)
+    counts = [20, 30, 40, 50]
+    a = replay_intensities(0.8, counts, 10, extending=True)
+    b = replay_intensities(0.8, counts, 10, extending=True)
     assert a == b
 
 
 def test_schedule_losses_decrease_with_growing_window():
-    result = intensity_schedule(2.0, [0.5, 1 / 3, 0.25, 0.2, 1 / 6])
-    losses = (2.0,) + result.losses
+    _, result = replay_intensities(2.0, [20, 30, 40, 50, 60], 10, extending=True)
+    losses = (2.0,) + tuple(result)
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev
     # strictly decreasing until the limiting loss hits the zero clamp
@@ -200,12 +211,32 @@ def test_prior_sample_schedule_matches_scalar_recursion():
     state = init(rng.standard_normal((p, n0)), mode="prior-sample")
     for _ in range(4):
         state = step(state, rng.standard_normal((p, n)))
-    counts = [n, 2 * n, 3 * n, 4 * n]
-    expected = intensity_schedule(p / (n0 - p), [p / c for c in counts])
-    # fixed/prior stepping uses the one-window plug-in formula at period 0;
-    # the schedule's closed form agrees to float reordering, not bitwise
-    np.testing.assert_allclose(state.intensity_history, expected.intensities, rtol=1e-12)
-    np.testing.assert_allclose(state.betas, expected.betas, rtol=1e-12)
+    expected, _ = replay_intensities(p / (n0 - p), [n, 2 * n, 3 * n, 4 * n], p, extending=True)
+    assert list(state.intensity_history) == expected
+    assert state.target_share == math.prod(1.0 - psi for psi in expected)
+
+
+def test_target_share_reaching_zero_is_exact(caplog):
+    """Once the target's share has gone, K sits at its upper end and the
+    recursion stays exact: psi is exactly one and nothing is clamped."""
+    p, n = 90, 100
+    target = np.full(p, 1.0 / p)
+    for seed in range(3):
+        pop_seed, data_seed = np.random.SeedSequence(seed).spawn(2)
+        pop = build_population(p, pop_seed)
+        rng = np.random.default_rng(data_seed)
+        state = init(target, mode="fixed")
+        gone = False
+        with caplog.at_level(logging.WARNING, logger="gmvshrink"):
+            for _ in range(10):
+                state = step(state, generate(pop, "t5", n, rng))
+                if gone:
+                    assert state.target_share == 0.0
+                    assert state.intensity_history[-1] == 1.0
+                gone = state.target_share == 0.0
+                assert np.isfinite(state.loss)
+        assert gone
+    assert not [r for r in caplog.records if r.name.startswith("gmvshrink")]
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +271,13 @@ def test_later_increments_may_be_single_columns():
     assert state.counts == (20, 21, 22, 23)
 
 
-def test_betas_stay_convex_combination():
+def test_target_share_is_product_of_complements():
     rng = np.random.default_rng(163)
     state = init(np.full(8, 0.125), first_block=rng.standard_normal((8, 30)))
     for _ in range(5):
         state = step(state, rng.standard_normal((8, 10)))
-        assert abs(sum(state.betas) - 1.0) < 1e-12
-        assert all(b >= 0.0 for b in state.betas)
+        assert state.target_share == math.prod(1.0 - psi for psi in state.intensity_history)
+        assert 0.0 <= state.target_share <= 1.0
         assert abs(state.weights.sum() - 1.0) < 1e-10
 
 
@@ -263,14 +294,20 @@ def test_pooled_covariance_matches_concatenated_blocks():
 
 
 def test_replay_reconstruction_is_bitwise():
+    """Applied intensities and the pooled sample portfolios, rebuilt from the
+    blocks, reproduce the holding weights exactly."""
     rng = np.random.default_rng(173)
     b = np.full(12, 1 / 12)
+    blocks = [rng.standard_normal((12, n)) for n in (40, 8, 15, 5)]
     state = init(b, mode="replay")
-    for n in (40, 8, 15, 5):
-        state = step(state, rng.standard_normal((12, n)))
-    w = state.target
-    for psi, sw in zip(state.intensity_history, state.sample_weights):
-        w = psi * sw + (1.0 - psi) * w
+    for block in blocks:
+        state = step(state, block)
+    w, pooled = state.target, PooledStats(12)
+    for i, (psi, block) in enumerate(zip(state.intensity_history, blocks)):
+        pooled = pooled.updated(block)
+        # the first pooled window uses two-pass moments, as in the step
+        cov = sample_moments(block)[1] if i == 0 else pooled.cov()
+        w = psi * gmv_weights(cov) + (1.0 - psi) * w
     np.testing.assert_array_equal(w, state.weights)
 
 
