@@ -260,7 +260,6 @@ def run_backtest(
     elif strategy in STRATEGY_IDS:
         if external_weights is not None:
             raise ValueError("external_weights only apply to strategy 'external'")
-        _check_window_sizes(strategy, schedule, p)
         blocks = [returns[:, a:b] for a, b in schedule.spans()]
         history = strategy_weights(blocks, strategy, target)
     else:
@@ -304,18 +303,3 @@ def run_backtest(
         ruined=wealth.ruined,
     )
     return history, report
-
-
-def _check_window_sizes(strategy, schedule, p):
-    if strategy in (2, 4):
-        if schedule.window_lengths[0] <= p + 1:
-            raise InsufficientSampleError(
-                f"first window must exceed p + 1 = {p + 1}, got "
-                f"{schedule.window_lengths[0]}"
-            )
-    elif strategy != 6:
-        bad = [n for n in schedule.window_lengths if n <= p + 1]
-        if bad:
-            raise InsufficientSampleError(
-                f"every window must exceed p + 1 = {p + 1}, got {bad}"
-            )

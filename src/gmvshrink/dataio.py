@@ -17,7 +17,6 @@ import contextlib
 import csv
 import datetime
 import hashlib
-import io
 import sys
 
 import numpy as np
@@ -136,10 +135,11 @@ def read_external_weights(path, n_assets=None):
     """
     history = []
     with open(path, newline="") as handle:
-        lines = [ln for ln in handle if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
+        lines = [(no, ln) for no, ln in enumerate(handle, start=1) if not ln.startswith("#")]
+    # rows are numbered by their line in the file, comment lines included
+    rows = zip((no for no, _ in lines), csv.reader(ln for _, ln in lines))
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataFileError(f"{path}: file is empty") from None
     if not header or header[0] != "period":
@@ -154,7 +154,7 @@ def read_external_weights(path, n_assets=None):
         raise DataFileError(
             f"{path}: expected {n_assets} asset columns, got {width}"
         )
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if len(row) != len(header):
             raise DataFileError(
                 f"{path}, row {line_no}: expected {len(header)} cells, got {len(row)}"

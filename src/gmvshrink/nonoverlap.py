@@ -1,16 +1,18 @@
-"""Dynamic shrinkage of minimum-variance weights over non-overlapping windows.
+"""Dynamic shrinkage of minimum-variance weights over fresh or extending windows.
 
-Each rebalancing period contributes a fresh estimation window. The holding
-portfolio is pulled toward that window's sample minimum-variance portfolio
-with an intensity chosen to minimize the limiting relative loss, and the
-loss itself advances through a scalar recursion that depends on the data
-only through the initial target loss.
+Each rebalancing period the holding portfolio is pulled toward a new
+sample minimum-variance portfolio with an intensity chosen to minimize the
+relative loss, and the loss itself advances through a scalar recursion
+that depends on the data only through the initial target loss.
 
-The recursion here also serves the extending-window pipeline
-(:mod:`gmvshrink.overlap`), whose sample portfolios share data: there the
-intensity and the loss carry the excess ``kappa = K - 1`` of the mixing
-coefficient over one. Fresh windows share nothing, so ``kappa`` is exactly
-zero and the formulas reduce bit for bit to their one-window forms.
+The window behind the sample portfolio is either the period's own block
+(fresh, non-overlapping windows) or, with ``extending=True``, everything
+pooled so far. Pooled sample portfolios share data, so the intensity and
+the loss carry the excess ``kappa = K - 1`` of the mixing coefficient over
+one (:func:`cross_excess`; the limit forms are in
+:mod:`gmvshrink.overlap`). Fresh windows share nothing, so ``kappa`` is
+exactly zero and the formulas reduce bit for bit to their one-window forms.
+Both window kinds run the same :func:`init` and :func:`step`.
 
 Three initializations are supported:
 
@@ -163,11 +165,65 @@ def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
     return intensities, losses
 
 
-def _start(target, mode):
-    """Fields shared by a new state of either pipeline.
+class PeriodRecord(NamedTuple):
+    """Per-period trace: window size, applied intensity, advanced loss."""
 
-    Resolves the target weights and the initial loss: known exactly in
-    ``prior-sample`` mode, estimated from the first window otherwise.
+    n_obs: int
+    intensity: float
+    loss: float
+
+
+@dataclass(frozen=True)
+class ShrinkageState:
+    """State of the shrinkage pipeline after ``period`` steps.
+
+    ``history`` stores one :class:`PeriodRecord` per period, its ``n_obs``
+    being the window size: the block's for fresh windows, the pooled count
+    ``N_1 < N_2 < ...`` for extending ones. ``target_share`` is the target's
+    remaining share ``prod(1 - psi)`` in the holding portfolio (of the
+    replayed schedule in replay mode). ``pooled`` carries the running
+    sufficient statistics of all blocks so far; it is kept only where they
+    are used, for extending windows and in replay mode.
+    """
+
+    n_assets: int
+    mode: str
+    extending: bool
+    target: np.ndarray
+    weights: np.ndarray
+    loss: float
+    initial_loss: float
+    history: tuple = ()
+    pooled: PooledStats | None = None
+    target_share: float = 1.0
+
+    @property
+    def period(self):
+        return len(self.history)
+
+    @property
+    def intensities(self):
+        return tuple(rec.intensity for rec in self.history)
+
+
+def init(target, first_block=None, mode="fixed", extending=False):
+    """Create a shrinkage state and, if a block is given, take the first step.
+
+    Parameters
+    ----------
+    target : array_like
+        The target weight vector in ``fixed`` and ``replay`` modes; in
+        ``prior-sample`` mode, the prior returns block (``p x n0`` with
+        ``n0 > p + 1``) whose sample minimum-variance portfolio becomes the
+        target, with the exactly known loss ``p / (n0 - p)``.
+    first_block : array_like, optional
+        First returns block. When omitted the state holds the pure target
+        portfolio and the first call to :func:`step` consumes the first
+        block.
+    mode : {"fixed", "replay", "prior-sample"}
+    extending : bool
+        Pool every block into one growing window instead of estimating
+        each period from its own block.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -183,28 +239,36 @@ def _start(target, mode):
     else:
         target_weights = as_weight_vector(target)
         initial_loss = float("nan")  # estimated from the first window
-    return dict(
-        n_assets=target_weights.shape[0],
+    p = target_weights.shape[0]
+    state = ShrinkageState(
+        n_assets=p,
         mode=mode,
+        extending=extending,
         target=target_weights,
         weights=target_weights,
         loss=initial_loss,
         initial_loss=initial_loss,
+        pooled=PooledStats(p) if extending or mode == "replay" else None,
     )
+    if first_block is None:
+        return state
+    return step(state, first_block)
 
 
-def _entering(state, cov, n_obs, past_sizes, extending):
+def _entering(state, cov, n_obs, pooled):
     """Initial loss, and the loss and target share entering this period.
 
-    ``cov`` and ``n_obs`` are what the target loss is estimated from: the
-    first window in fixed mode, everything pooled so far in replay mode.
-    Replay re-estimates the start loss each period and replays the recursion
-    over ``past_sizes`` from it.
+    ``cov`` and ``n_obs`` describe this period's window. Fixed mode
+    estimates the target loss from the first window. Replay re-estimates it
+    each period from everything pooled so far, which is the window itself
+    when extending, and replays the recursion over the past window sizes.
     """
     if state.mode == "replay":
+        if not state.extending:
+            cov, n_obs = pooled.cov(), pooled.count
         start = estimate_target_loss_from_cov(cov, n_obs, state.target)
         intensities, losses = replay_intensities(
-            start, past_sizes, state.n_assets, extending
+            start, [rec.n_obs for rec in state.history], state.n_assets, state.extending
         )
         initial_loss = start if state.period == 0 else state.initial_loss
         share = math.prod(1.0 - psi for psi in intensities)
@@ -215,98 +279,41 @@ def _entering(state, cov, n_obs, past_sizes, extending):
     return state.initial_loss, state.loss, state.target_share
 
 
-class PeriodRecord(NamedTuple):
-    """Per-period trace: window size, applied intensity, advanced loss."""
-
-    n_obs: int
-    intensity: float
-    loss: float
-
-
-@dataclass(frozen=True)
-class NonOverlapState:
-    """State of the non-overlapping shrinkage pipeline after ``period`` steps.
-
-    ``history`` stores one :class:`PeriodRecord` per consumed window and
-    ``target_share`` the target's remaining share ``prod(1 - psi)`` in the
-    recursion (of the replayed schedule in replay mode). In replay mode
-    ``pooled`` carries the running sufficient statistics the target loss is
-    re-estimated from.
-    """
-
-    n_assets: int
-    mode: str
-    target: np.ndarray
-    weights: np.ndarray
-    loss: float
-    initial_loss: float
-    period: int = 0
-    history: tuple = ()
-    pooled: PooledStats | None = None
-    target_share: float = 1.0
-
-    @property
-    def intensities(self):
-        return tuple(rec.intensity for rec in self.history)
-
-
-def init(target, first_block=None, mode="fixed"):
-    """Create a shrinkage state and, if a block is given, take the first step.
-
-    Parameters
-    ----------
-    target : array_like
-        The target weight vector in ``fixed`` and ``replay`` modes; in
-        ``prior-sample`` mode, the prior returns block (``p x n0`` with
-        ``n0 > p + 1``) whose sample minimum-variance portfolio becomes the
-        target.
-    first_block : array_like, optional
-        First estimation window. When omitted the state holds the pure
-        target portfolio and the first call to :func:`step` consumes the
-        first window.
-    mode : {"fixed", "replay", "prior-sample"}
-    """
-    fields = _start(target, mode)
-    pooled = PooledStats(fields["n_assets"]) if mode == "replay" else None
-    state = NonOverlapState(**fields, pooled=pooled)
-    if first_block is None:
-        return state
-    return step(state, first_block)
-
-
 def step(state, block):
-    """Consume one estimation window and return the advanced state."""
-    block = as_returns_block(block)
-    p, n = block.shape
-    if p != state.n_assets:
-        raise DimensionError(
-            f"block has p={p} assets, state expects {state.n_assets}"
-        )
+    """Consume one returns block and return the advanced state.
+
+    The window is the block itself, or with ``extending`` everything pooled
+    so far; it must exceed ``p + 1`` observations, so later increments of an
+    extending window may be arbitrarily short.
+    """
+    p = state.n_assets
+    block = as_returns_block(block, min_obs=1)
+    if block.shape[0] != p:
+        raise DimensionError(f"block has p={block.shape[0]} assets, state expects {p}")
+    pooled = None if state.pooled is None else state.pooled.updated(block)
+    n = pooled.count if state.extending else block.shape[1]
     if n <= p + 1:
         raise InsufficientSampleError(
-            f"non-overlapping windows need n > p + 1, got p={p}, n={n}"
+            f"estimation windows need n > p + 1, got p={p}, n={n}"
         )
 
-    _, cov = sample_moments(block)
+    if state.extending and state.period > 0:
+        cov = pooled.cov()
+    else:
+        # A fresh window, or the first pooled one: two-pass moments, so the
+        # first steps of both window kinds agree bit for bit.
+        _, cov = sample_moments(block)
     sample_weights = gmv_weights(cov, n_obs=n)
 
-    pooled, est_cov, est_obs = state.pooled, cov, n
-    if state.mode == "replay":
-        pooled = pooled.updated(block)
-        est_cov, est_obs = pooled.cov(), pooled.count
-    past_sizes = [rec.n_obs for rec in state.history]
-    initial_loss, prev_loss, share = _entering(
-        state, est_cov, est_obs, past_sizes, extending=False
-    )
-
-    psi = feasible_intensity(n, p, prev_loss)
-    new_loss = next_loss(psi, p / n, prev_loss)
+    initial_loss, prev_loss, share = _entering(state, cov, n, pooled)
+    excess = cross_excess(share, n, p) if state.extending else 0.0
+    psi = feasible_intensity(n, p, prev_loss, excess)
+    new_loss = next_loss(psi, p / n, prev_loss, excess)
     return replace(
         state,
         weights=psi * sample_weights + (1.0 - psi) * state.weights,
         loss=new_loss,
         initial_loss=initial_loss,
-        period=state.period + 1,
         history=state.history + (PeriodRecord(n, psi, new_loss),),
         pooled=pooled,
         target_share=share * (1.0 - psi),

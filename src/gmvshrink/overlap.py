@@ -19,28 +19,21 @@ runs the recursion of :mod:`gmvshrink.nonoverlap` with the excess
 period. :func:`cross_term`, :func:`optimal_intensity` and :func:`next_loss`
 state the limit forms in terms of ``K`` and ``C``.
 
-The same three initializations as the non-overlapping pipeline exist
-(``fixed``, ``replay``, ``prior-sample``). Only the first pooled window must
-exceed the asset count; later increments may be arbitrarily short.
+The pipeline itself is the shared one of :mod:`gmvshrink.nonoverlap` with
+``extending=True``: :func:`init` is its entry point, with the same three
+initializations (``fixed``, ``replay``, ``prior-sample``), and
+:func:`step` is the shared step. Only the first pooled window must exceed
+``p + 1`` observations; later increments may be arbitrarily short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
-
 from . import nonoverlap
-from .core import (
-    DegenerateInputError,
-    DimensionError,
-    InsufficientSampleError,
-    PooledStats,
-    as_returns_block,
-    gmv_weights,
-    sample_moments,
-)
-from .nonoverlap import MODES, _entering, _start, cross_excess, feasible_intensity  # noqa: F401
+from .core import DegenerateInputError, gmv_weights  # noqa: F401
+from .nonoverlap import feasible_intensity, step  # noqa: F401
+
+# gmv_weights and feasible_intensity are kept as aliases for
+# perfbench/tests/tracer_checks.py; step is the pipeline's shared step.
 
 
 def cross_term(c_earlier, c_later):
@@ -97,87 +90,6 @@ def next_loss(intensity, c, prev_loss, mixing):
     return nonoverlap.next_loss(intensity, c, prev_loss, mixing - 1.0)
 
 
-@dataclass(frozen=True)
-class OverlapState:
-    """State of the extending-window pipeline after ``period`` steps.
-
-    ``counts`` stores the pooled observation counts ``N_1 < N_2 < ...``;
-    concentrations are derived from them on demand so they stay exact
-    rationals evaluated in double precision. ``target_share`` is the
-    target's remaining share ``prod(1 - psi)`` in the holding portfolio's
-    mixture (of the replayed schedule in replay mode); the rest is spread
-    over past pooled sample portfolios.
-    """
-
-    n_assets: int
-    mode: str
-    target: np.ndarray
-    weights: np.ndarray
-    loss: float
-    initial_loss: float
-    period: int = 0
-    counts: tuple = ()
-    target_share: float = 1.0
-    intensity_history: tuple = ()
-    pooled: PooledStats | None = None
-
-    @property
-    def concentrations(self):
-        return tuple(self.n_assets / n for n in self.counts)
-
-
 def init(target, first_block=None, mode="fixed"):
-    """Create an extending-window state; with a block, take the first step.
-
-    In ``prior-sample`` mode ``target`` is the prior returns block and the
-    intensity schedule becomes fully deterministic given the window sizes,
-    since the initial loss ``p / (n0 - p)`` involves no unknown quantities.
-    """
-    fields = _start(target, mode)
-    state = OverlapState(**fields, pooled=PooledStats(fields["n_assets"]))
-    if first_block is None:
-        return state
-    return step(state, first_block)
-
-
-def step(state, block):
-    """Fold one data increment into the pooled window and rebalance."""
-    p = state.n_assets
-    block = as_returns_block(block, min_obs=1)
-    if block.shape[0] != p:
-        raise DimensionError(
-            f"block has p={block.shape[0]} assets, state expects {p}"
-        )
-
-    pooled = state.pooled.updated(block)
-    n = pooled.count
-    if state.period == 0 and n <= p + 1:
-        raise InsufficientSampleError(
-            f"first pooled window needs N > p + 1, got p={p}, N={n}"
-        )
-
-    if state.period == 0:
-        # One block pooled so far: use the same two-pass moments as the
-        # fresh-window pipeline, so the first steps of the two pipelines
-        # agree bit for bit.
-        _, pooled_cov = sample_moments(block)
-    else:
-        pooled_cov = pooled.cov()
-    pooled_weights = gmv_weights(pooled_cov, n_obs=n)
-
-    initial_loss, prev_loss, share = _entering(
-        state, pooled_cov, n, state.counts, extending=True
-    )
-    excess = cross_excess(share, n, p)
-    psi = feasible_intensity(n, p, prev_loss, excess)
-    return replace(
-        state,
-        weights=psi * pooled_weights + (1.0 - psi) * state.weights,
-        loss=nonoverlap.next_loss(psi, p / n, prev_loss, excess),
-        initial_loss=initial_loss,
-        period=state.period + 1,
-        counts=state.counts + (n,),
-        target_share=share * (1.0 - psi),
-        intensity_history=state.intensity_history + (psi,),
-        pooled=pooled,
-    )
+    """Extending-window state: :func:`gmvshrink.nonoverlap.init` with ``extending=True``."""
+    return nonoverlap.init(target, first_block, mode, extending=True)

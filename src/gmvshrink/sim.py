@@ -35,11 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SingularityError, precision_ones_form
-from .strategies import (
-    FRESH_WINDOW_STRATEGIES,
-    STRATEGY_IDS,
-    weight_sequence,
-)
+from .strategies import STRATEGY_IDS, weight_sequence
 
 logger = logging.getLogger(__name__)
 
@@ -269,9 +265,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown strategies {unknown}, expected ids in {STRATEGY_IDS}")
         if not self.strategies:
             raise ValueError("no strategies requested")
-        needs_fresh = any(s in FRESH_WINDOW_STRATEGIES for s in self.strategies)
-        needs_first = any(s in (2, 4) for s in self.strategies)
-        if (needs_fresh or needs_first) and self.n <= self.p + 1:
+        # every strategy but holding the target estimates from n-day windows
+        if any(s != 6 for s in self.strategies) and self.n <= self.p + 1:
             raise ValueError(
                 f"estimation windows need n > p + 1, got p={self.p}, n={self.n}"
             )

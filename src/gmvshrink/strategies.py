@@ -11,6 +11,10 @@ simulation harness, the backtest engine and the CLI:
 6. hold the target portfolio (intensity zero)
 7. one-period shrinkage toward the target, recomputed fresh each window
 
+Strategies 1-4 run the shrinkage pipeline of :mod:`gmvshrink.nonoverlap`
+(:data:`PIPELINES`) and strategy 7 is its first fixed-mode step, taken
+afresh from the target every window.
+
 An eighth slot accepts externally supplied per-period weights so
 third-party estimators can be compared without being implemented here; the
 backtest engine wires it through its ``external_weights`` argument.
@@ -18,14 +22,13 @@ backtest engine wires it through its ``external_weights`` argument.
 
 from __future__ import annotations
 
-from . import nonoverlap, overlap
+from . import nonoverlap
 from .core import (
     InsufficientSampleError,
     as_returns_block,
     as_weight_vector,
-    estimate_target_loss_from_cov,
-    gmv_weights,
-    sample_moments,
+    gmv_weights,  # noqa: F401  (an alias perfbench/tests/tracer_checks.py reads)
+    sample_gmv_weights,
 )
 
 STRATEGY_IDS = (1, 2, 3, 4, 5, 6, 7)
@@ -40,30 +43,19 @@ STRATEGY_LABELS = {
     7: "one-period shrinkage toward the target",
 }
 
-#: strategies whose estimation windows must each satisfy n > p + 1
-FRESH_WINDOW_STRATEGIES = (1, 3, 5, 7)
+#: initialization mode and ``extending`` flag of the shrinkage strategies
+PIPELINES = {1: ("fixed", False), 2: ("fixed", True), 3: ("replay", False), 4: ("replay", True)}
 
 
 def one_period_shrinkage(block, target):
     """Single-window shrinkage of the sample portfolio toward a target.
 
-    Estimates the target's relative loss from the block, converts it into
-    the one-period optimal intensity and blends the block's sample
-    minimum-variance portfolio with the target. Memoryless: each call
-    starts from the target again.
+    Estimates the target's relative loss from the block and blends the
+    block's sample minimum-variance portfolio with the target at the
+    resulting intensity: the first fixed-mode step of the shrinkage
+    pipeline. Memoryless: each call starts from the target again.
     """
-    block = as_returns_block(block)
-    p, n = block.shape
-    if n <= p + 1:
-        raise InsufficientSampleError(
-            f"one-period shrinkage needs n > p + 1, got p={p}, n={n}"
-        )
-    b = as_weight_vector(target, n_assets=p)
-    _, cov = sample_moments(block)
-    target_loss = estimate_target_loss_from_cov(cov, n, b)
-    psi = nonoverlap.optimal_intensity(p / n, target_loss)
-    sample_weights = gmv_weights(cov, n_obs=n)
-    return psi * sample_weights + (1.0 - psi) * b
+    return nonoverlap.init(target, first_block=block, mode="fixed").weights
 
 
 def weight_sequence(blocks, strategy, target):
@@ -82,15 +74,11 @@ def weight_sequence(blocks, strategy, target):
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGY_IDS}")
     target = as_weight_vector(target)
 
-    if strategy in (1, 3):
-        state = nonoverlap.init(target, mode="fixed" if strategy == 1 else "replay")
+    if strategy in PIPELINES:
+        mode, extending = PIPELINES[strategy]
+        state = nonoverlap.init(target, mode=mode, extending=extending)
         for block in blocks:
             state = nonoverlap.step(state, block)
-            yield state.weights
-    elif strategy in (2, 4):
-        state = overlap.init(target, mode="fixed" if strategy == 2 else "replay")
-        for block in blocks:
-            state = overlap.step(state, block)
             yield state.weights
     elif strategy == 5:
         for block in blocks:
@@ -100,8 +88,7 @@ def weight_sequence(blocks, strategy, target):
                 raise InsufficientSampleError(
                     f"sample minimum-variance weights need n > p + 1, got p={p}, n={n}"
                 )
-            _, cov = sample_moments(block)
-            yield gmv_weights(cov, n_obs=n)
+            yield sample_gmv_weights(block)
     elif strategy == 6:
         for _block in blocks:
             yield target.copy()

@@ -139,7 +139,7 @@ def test_criterion_03_intensities_track_oracle():
                 pooled = np.hstack([pooled, block])
             oracle = _exact_oracle(state.weights, sample_gmv_weights(pooled), pop.cov)
             state = overlap.step(state, block)
-            ext_gaps[s, i] = abs(state.intensity_history[-1] - oracle)
+            ext_gaps[s, i] = abs(state.intensities[-1] - oracle)
 
     fresh_worst = float(fresh_gaps.mean(axis=0).max())
     formula_worst = float(formula_gaps.mean(axis=0).max())

@@ -135,6 +135,10 @@ def test_external_weights_reader_requires_periods_in_order(tmp_path):
     path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
     with pytest.raises(DataFileError, match="row 3: expected period 2, got '3'"):
         read_external_weights(str(path))
+    # rows are numbered by file line, metadata comment lines included
+    path = _write(tmp_path, "# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
+    with pytest.raises(DataFileError, match="row 5: expected period 2, got '3'"):
+        read_external_weights(str(path))
 
 
 # ---------------------------------------------------------------------------

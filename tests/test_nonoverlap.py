@@ -1,4 +1,4 @@
-"""Tests for the fresh-window shrinkage pipeline.
+"""Tests for the shrinkage pipeline, mostly on fresh windows.
 
 Covers:
 - the scalar intensity/loss formulas and their hand values
@@ -6,10 +6,16 @@ Covers:
 - the three initialization modes (fixed, replay, prior-sample)
 - bit-for-bit replay reconstruction of the holding weights
 - tracking of the population-optimal intensity on simulated data
+- invariants of the shared pipeline over random window sizes, modes and
+  window kinds (a property test)
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmvshrink import nonoverlap
 from gmvshrink.core import (
@@ -22,6 +28,7 @@ from gmvshrink.core import (
     sample_moments,
 )
 from gmvshrink.nonoverlap import (
+    MODES,
     feasible_intensity,
     init,
     next_loss,
@@ -274,3 +281,56 @@ def test_intensity_tracks_population_oracle():
 
 def test_module_exports_modes():
     assert nonoverlap.MODES == ("fixed", "replay", "prior-sample")
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared pipeline
+# ---------------------------------------------------------------------------
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.integers(2, 12),
+    extra=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    mode=st.sampled_from(MODES),
+    extending=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_pipeline_invariants(p, extra, mode, extending, seed):
+    """Full investment, intensities in [0, 1], the target's share, window
+    sizes and finite nonnegative losses, for both window kinds and every
+    mode. Fresh windows have ``p + 2 + k`` observations; an extending
+    window starts at ``p + 2 + k`` and grows by ``k + 1`` per period."""
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 2.0, size=p)
+    if extending:
+        block_sizes = [p + 2 + extra[0]] + [k + 1 for k in extra[1:]]
+        window_sizes = list(np.cumsum(block_sizes))
+    else:
+        block_sizes = window_sizes = [p + 2 + k for k in extra]
+    blocks = [scales[:, None] * rng.standard_normal((p, n)) for n in block_sizes]
+    if mode == "prior-sample":
+        target = scales[:, None] * rng.standard_normal((p, p + 2 + extra[-1]))
+    else:
+        target = np.full(p, 1.0 / p)
+
+    state = init(target, mode=mode, extending=extending)
+    for block in blocks:
+        state = step(state, block)
+        assert abs(state.weights.sum() - 1.0) < 1e-10
+
+    assert [rec.n_obs for rec in state.history] == window_sizes
+    assert all(0.0 <= psi <= 1.0 for psi in state.intensities)
+    assert all(np.isfinite(rec.loss) and rec.loss >= 0.0 for rec in state.history)
+    schedule = state.intensities
+    if mode == "replay":
+        # the share is that of the schedule replayed in the last period,
+        # from the target loss re-estimated on everything pooled so far
+        if extending and len(blocks) == 1:
+            cov = sample_moments(blocks[0])[1]
+        else:
+            cov = state.pooled.cov()
+        start = estimate_target_loss_from_cov(cov, state.pooled.count, state.target)
+        schedule, _ = replay_intensities(start, window_sizes, p, extending)
+        assert schedule[-1] == state.intensities[-1]
+    assert state.target_share == math.prod(1.0 - psi for psi in schedule)

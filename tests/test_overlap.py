@@ -30,7 +30,6 @@ from gmvshrink.core import (
 )
 from gmvshrink.nonoverlap import cross_excess, feasible_intensity, replay_intensities
 from gmvshrink.overlap import (
-    OverlapState,
     cross_term,
     init,
     next_loss,
@@ -212,7 +211,7 @@ def test_prior_sample_schedule_matches_scalar_recursion():
     for _ in range(4):
         state = step(state, rng.standard_normal((p, n)))
     expected, _ = replay_intensities(p / (n0 - p), [n, 2 * n, 3 * n, 4 * n], p, extending=True)
-    assert list(state.intensity_history) == expected
+    assert list(state.intensities) == expected
     assert state.target_share == math.prod(1.0 - psi for psi in expected)
 
 
@@ -232,7 +231,7 @@ def test_target_share_reaching_zero_is_exact(caplog):
                 state = step(state, generate(pop, "t5", n, rng))
                 if gone:
                     assert state.target_share == 0.0
-                    assert state.intensity_history[-1] == 1.0
+                    assert state.intensities[-1] == 1.0
                 gone = state.target_share == 0.0
                 assert np.isfinite(state.loss)
         assert gone
@@ -253,7 +252,7 @@ def test_first_step_matches_fresh_window_pipeline_bitwise():
     pooled = init(b, first_block=block, mode="fixed")
     np.testing.assert_array_equal(fresh.weights, pooled.weights)
     assert fresh.loss == pooled.loss
-    assert fresh.intensities[0] == pooled.intensity_history[0]
+    assert fresh.intensities[0] == pooled.intensities[0]
 
 
 def test_first_window_must_exceed_asset_count():
@@ -268,7 +267,7 @@ def test_later_increments_may_be_single_columns():
     for _ in range(3):
         state = step(state, rng.standard_normal((5, 1)))
     assert state.period == 4
-    assert state.counts == (20, 21, 22, 23)
+    assert [rec.n_obs for rec in state.history] == [20, 21, 22, 23]
 
 
 def test_target_share_is_product_of_complements():
@@ -276,7 +275,7 @@ def test_target_share_is_product_of_complements():
     state = init(np.full(8, 0.125), first_block=rng.standard_normal((8, 30)))
     for _ in range(5):
         state = step(state, rng.standard_normal((8, 10)))
-        assert state.target_share == math.prod(1.0 - psi for psi in state.intensity_history)
+        assert state.target_share == math.prod(1.0 - psi for psi in state.intensities)
         assert 0.0 <= state.target_share <= 1.0
         assert abs(state.weights.sum() - 1.0) < 1e-10
 
@@ -303,7 +302,7 @@ def test_replay_reconstruction_is_bitwise():
     for block in blocks:
         state = step(state, block)
     w, pooled = state.target, PooledStats(12)
-    for i, (psi, block) in enumerate(zip(state.intensity_history, blocks)):
+    for i, (psi, block) in enumerate(zip(state.intensities, blocks)):
         pooled = pooled.updated(block)
         # the first pooled window uses two-pass moments, as in the step
         cov = sample_moments(block)[1] if i == 0 else pooled.cov()
@@ -320,19 +319,6 @@ def test_step_asset_mismatch():
 def test_init_rejects_unknown_mode():
     with pytest.raises(ValueError):
         init(np.full(4, 0.25), mode="bogus")
-
-
-def test_state_concentrations_property():
-    state = OverlapState(
-        n_assets=10,
-        mode="fixed",
-        target=np.full(10, 0.1),
-        weights=np.full(10, 0.1),
-        loss=1.0,
-        initial_loss=1.0,
-        counts=(20, 40),
-    )
-    assert state.concentrations == (0.5, 0.25)
 
 
 # ---------------------------------------------------------------------------
