@@ -152,7 +152,8 @@ def wealth_and_drawdown(daily_returns):
 
     A day with return at or below -100 percent wipes the portfolio out;
     the path is truncated at that day and flagged as ruined. The worst
-    daily change is the most negative one-day difference in wealth.
+    daily change is the most negative one-day difference in wealth. A
+    path that overflows to infinity raises DegenerateInputError.
     """
     daily_returns = np.asarray(daily_returns, dtype=float)
     if daily_returns.ndim != 1:
@@ -161,8 +162,13 @@ def wealth_and_drawdown(daily_returns):
         raise DegenerateInputError("daily returns contain non-finite values")
     path = [1.0]
     ruined = False
-    for r in daily_returns:
+    for r in daily_returns.tolist():
         path.append(path[-1] * (1.0 + r))
+        if not math.isfinite(path[-1]):
+            raise DegenerateInputError(
+                f"wealth overflows on day {len(path) - 1} of the holding span; "
+                "the cells may be prices rather than returns"
+            )
         if r <= -1.0:
             ruined = True
             logger.warning("portfolio ruined: daily return %.6g wiped out wealth", r)
@@ -178,8 +184,9 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
     The weights recorded at rebalance ``i`` apply to window ``i+1``; the
     last recorded weights also cover any days beyond the final window.
     Nothing is evaluated during the first window, before any weights
-    exist. In drift mode the holdings evolve with prices within each
-    span, restarting from the recorded weights at each rebalance.
+    exist. Without drift each span is one matrix-vector product; in drift
+    mode the holdings evolve with prices day by day within each span,
+    restarting from the recorded weights at each rebalance.
     """
     spans = schedule.spans()
     total_days = returns.shape[1]
@@ -191,6 +198,11 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
             (weights_history[-1], schedule.total_observations, total_days)
         )
 
+    if not drift:
+        return np.concatenate(
+            [np.asarray(w, dtype=float) @ returns[:, a:b] for w, a, b in holding_spans]
+            or [np.empty(0)]
+        )
     day_returns = []
     for weights, start, end in holding_spans:
         held = np.asarray(weights, dtype=float).copy()
@@ -198,10 +210,9 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
             y = returns[:, t]
             r = float(held @ y)
             day_returns.append(r)
-            if drift:
-                if 1.0 + r <= 0.0:
-                    return np.asarray(day_returns)  # ruin: holdings are gone
-                held = held * (1.0 + y) / (1.0 + r)
+            if 1.0 + r <= 0.0:
+                return np.asarray(day_returns)  # ruin: holdings are gone
+            held = held * (1.0 + y) / (1.0 + r)
     return np.asarray(day_returns)
 
 

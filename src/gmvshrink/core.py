@@ -138,8 +138,10 @@ def solve_spd(mat, rhs, n_obs=None):
         ) from exc
     # Rounding can let an exactly rank-deficient matrix through the
     # factorization with a pivot at roundoff level; treat that as singular.
+    # The floor scales with the largest diagonal entry, so a constant asset,
+    # whose variance is itself rounding noise, is caught too.
     pivots = np.diagonal(factor[0])
-    floor = p * np.finfo(np.float64).eps * np.diagonal(mat)
+    floor = p * np.finfo(np.float64).eps * np.diagonal(mat).max()
     if np.any(pivots * pivots <= floor):
         raise SingularityError(
             f"covariance matrix of dimension p={p} is numerically singular"

@@ -3,7 +3,11 @@
 Input is a returns CSV with a header row, a leading ISO-8601 ``date``
 column and one column per asset; cells are simple returns as decimal
 fractions. Ingestion is strict: a malformed or missing cell fails with
-its row and column named, never imputed.
+its file line and column named, never imputed. A well-formed file is
+parsed in bulk (one C-level parse of all value cells); any file the bulk
+path does not fully accept is re-read by the strict row parser, which
+locates the error or, for a valid but unusual file, returns the same
+result.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
@@ -17,6 +21,7 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import io
 import sys
 
 import numpy as np
@@ -57,69 +62,138 @@ def read_returns_csv(path):
     Checks the header, date format and ordering, cell completeness and
     numeric parsing; any violation raises DataFileError with the file
     line number and column name.
+
+    A well-formed file is parsed in bulk: the dates one line at a time,
+    the value cells in one ``np.loadtxt`` call. Whatever that path does not
+    fully accept (characters outside printable ASCII, quotes, carriage
+    returns, blank lines, ragged rows, bad cells or dates) is re-read by
+    the strict row parser, which either names the offending cell or
+    returns the same result.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFileError(f"{path}: file is empty") from None
-        if not header or header[0] != "date":
-            raise DataFileError(
-                f"{path}, line 1: first header column must be 'date', got "
-                f"{header[0]!r}" if header else f"{path}, line 1: empty header"
-            )
-        names = header[1:]
-        if not names:
-            raise DataFileError(f"{path}, line 1: no asset columns")
-        seen = set()
-        for name in names:
-            if not name:
-                raise DataFileError(f"{path}, line 1: empty asset column name")
-            if name in seen:
-                raise DataFileError(f"{path}, line 1: duplicate asset column {name!r}")
-            seen.add(name)
+        text = handle.read()
+    parsed = _parse_bulk(path, text)
+    return parsed if parsed is not None else _parse_strict(path, text)
 
-        dates = []
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+
+def _asset_names(path, header):
+    """Validate a parsed header row and return its asset names."""
+    if not header or header[0] != "date":
+        raise DataFileError(
+            f"{path}, line 1: first header column must be 'date', got "
+            f"{header[0]!r}" if header else f"{path}, line 1: empty header"
+        )
+    names = header[1:]
+    if not names:
+        raise DataFileError(f"{path}, line 1: no asset columns")
+    seen = set()
+    for name in names:
+        if not name:
+            raise DataFileError(f"{path}, line 1: empty asset column name")
+        if name in seen:
+            raise DataFileError(f"{path}, line 1: duplicate asset column {name!r}")
+        seen.add(name)
+    return names
+
+
+#: characters of a plain file: printable ASCII but the quote, and newline
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+
+
+def _parse_bulk(path, text):
+    """Parse a plain, well-formed returns file, or return None.
+
+    In a plain file every line splits on bare commas exactly as the csv
+    module would split it, and every cell ``np.loadtxt`` reads is one that
+    ``float`` reads to the same bits (outside printable ASCII the two
+    differ, e.g. on the control characters 0x1C-0x1F that loadtxt strips as
+    whitespace). None hands the text to the strict parser; this path raises
+    only for a bad header, with the strict parser's message.
+    """
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        return None
+    head, _, body = text.partition("\n")
+    if not head:
+        return None
+    names = _asset_names(path, head.split(","))
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    dates = []
+    cells = []
+    for line in lines:
+        day, comma, rest = line.partition(",")
+        if not comma:
+            return None
+        try:
+            date = datetime.date.fromisoformat(day)
+        except ValueError:
+            return None
+        if dates and date <= dates[-1]:
+            return None
+        dates.append(date)
+        cells.append(rest)
+    try:
+        values = np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips empty lines, so the row count is checked too
+    if values.shape != (len(lines), len(names)) or not np.isfinite(values).all():
+        return None
+    return dates, names, values.T
+
+
+def _parse_strict(path, text):
+    """Parse a returns file row by row, raising at the first bad cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFileError(f"{path}: file is empty") from None
+    names = _asset_names(path, header)
+
+    dates = []
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFileError(
+                f"{path}, line {line_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        try:
+            date = datetime.date.fromisoformat(row[0])
+        except ValueError:
+            raise DataFileError(
+                f"{path}, line {line_no}, column 'date': not an ISO-8601 "
+                f"date: {row[0]!r}"
+            ) from None
+        if dates and date <= dates[-1]:
+            raise DataFileError(
+                f"{path}, line {line_no}, column 'date': dates must be "
+                f"strictly ascending, got {date} after {dates[-1]}"
+            )
+        dates.append(date)
+        values = []
+        for name, cell in zip(names, row[1:]):
+            if cell.strip() == "":
                 raise DataFileError(
-                    f"{path}, line {line_no}: expected {len(header)} cells, got {len(row)}"
+                    f"{path}, line {line_no}, column {name!r}: missing cell"
                 )
             try:
-                date = datetime.date.fromisoformat(row[0])
+                value = float(cell)
             except ValueError:
                 raise DataFileError(
-                    f"{path}, line {line_no}, column 'date': not an ISO-8601 "
-                    f"date: {row[0]!r}"
+                    f"{path}, line {line_no}, column {name!r}: not a "
+                    f"number: {cell!r}"
                 ) from None
-            if dates and date <= dates[-1]:
+            if not np.isfinite(value):
                 raise DataFileError(
-                    f"{path}, line {line_no}, column 'date': dates must be "
-                    f"strictly ascending, got {date} after {dates[-1]}"
+                    f"{path}, line {line_no}, column {name!r}: non-finite "
+                    f"value {cell!r}"
                 )
-            dates.append(date)
-            values = []
-            for name, cell in zip(names, row[1:]):
-                if cell.strip() == "":
-                    raise DataFileError(
-                        f"{path}, line {line_no}, column {name!r}: missing cell"
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFileError(
-                        f"{path}, line {line_no}, column {name!r}: not a "
-                        f"number: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataFileError(
-                        f"{path}, line {line_no}, column {name!r}: non-finite "
-                        f"value {cell!r}"
-                    )
-                values.append(value)
-            rows.append(values)
+            values.append(value)
+        rows.append(values)
     if not rows:
         raise DataFileError(f"{path}: no data rows")
     return dates, names, np.asarray(rows, dtype=float).T

@@ -13,6 +13,7 @@ import pytest
 
 from gmvshrink.backtest import (
     RebalanceSchedule,
+    _holding_day_returns,
     performance_measures,
     run_backtest,
     turnover,
@@ -155,6 +156,14 @@ def test_wealth_rejects_bad_input():
         wealth_and_drawdown([[0.1, 0.2]])
 
 
+def test_wealth_overflow_is_rejected_as_prices(recwarn):
+    """Daily "returns" near 100 compound to infinity within a few hundred days."""
+    with pytest.raises(DegenerateInputError, match="prices rather than returns") as info:
+        wealth_and_drawdown(np.full(400, 99.0))
+    assert "day 155" in str(info.value)  # 100**154 is finite, 100**155 is not
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # run_backtest: holding semantics
 # ---------------------------------------------------------------------------
@@ -206,6 +215,26 @@ def test_day_returns_skip_first_window_and_hold_tail():
     assert report.sharpe == pytest.approx(
         day_returns.mean() / day_returns.std(ddof=1), rel=1e-12
     )
+
+
+def test_day_returns_without_drift_match_per_day_products():
+    """One matrix-vector product per span gives the per-day dot products."""
+    p = 7
+    schedule = RebalanceSchedule((12, 9, 15, 11))
+    returns = _daily_returns(p, 53, seed=11)  # 6 tail days
+    rng = np.random.default_rng(12)
+    history = [w / w.sum() for w in rng.uniform(-0.5, 1.5, (4, p))]
+    day_returns = _holding_day_returns(returns, history, schedule, drift=False)
+
+    reference = []
+    for i, (start, end) in enumerate(schedule.spans()[1:]):
+        reference += [float(history[i] @ returns[:, t]) for t in range(start, end)]
+    reference += [float(history[-1] @ returns[:, t]) for t in range(47, 53)]
+    assert day_returns.shape == (53 - 12,)
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-13, atol=0.0)
+    # a single window with no tail holds nothing
+    one = RebalanceSchedule((53,))
+    assert _holding_day_returns(returns, history[:1], one, drift=False).shape == (0,)
 
 
 def test_first_period_weights_agree_between_strategies_one_and_two():

@@ -14,13 +14,18 @@ import numpy as np
 import pytest
 
 from gmvshrink.cli import main
+from gmvshrink.dataio import _parse_bulk
 
 LOSS_HEADER = "scenario,strategy,period,c,mean_loss,stderr,failed_reps"
 
 
 def _write_returns(path, p, days, seed, scale=0.01):
     rng = np.random.default_rng(seed)
-    data = scale * rng.standard_normal((p, days))
+    return _write_table(path, scale * rng.standard_normal((p, days)))
+
+
+def _write_table(path, data):
+    p, days = data.shape
     start = date(2020, 1, 1)
     with open(path, "w") as handle:
         handle.write("date," + ",".join(f"a{i}" for i in range(p)) + "\n")
@@ -181,6 +186,49 @@ def test_backtest_missing_cell_names_line_and_column(tmp_path, capsys):
     assert err.startswith("gmvshrink: data error:")
     assert "line 3" in err
     assert "'a1'" in err
+
+
+@pytest.mark.parametrize("command", ["weights", "backtest"])
+def test_quoted_crlf_file_gives_identical_output(tmp_path, capsys, command):
+    """A file the bulk parser hands to the strict parser reads the same."""
+    csv_path = _write_returns(tmp_path / "r.csv", p=5, days=90, seed=31)
+    argv = [command, "--input", str(csv_path), "--strategy", "2", "--n", "20", "--seed", "1"]
+    if command == "backtest":
+        argv += ["--wealth-out", str(tmp_path / "wealth.csv")]
+    outputs = []
+    for rewrite in (False, True):
+        if rewrite:
+            lines = csv_path.read_text().splitlines()
+            quoted = "".join(",".join(f'"{c}"' for c in ln.split(",")) + "\r\n" for ln in lines)
+            csv_path.write_bytes(quoted.encode())
+            assert _parse_bulk(str(csv_path), quoted) is None
+        assert main(argv) == 0
+        wealth = (tmp_path / "wealth.csv").read_bytes() if command == "backtest" else b""
+        outputs.append((capsys.readouterr().out, wealth))
+    assert outputs[1] == outputs[0]
+
+
+def test_backtest_zero_variance_asset_is_numerical_error(tmp_path, capsys):
+    data = 0.01 * np.random.default_rng(37).standard_normal((5, 600))
+    data[2] = 0.001
+    csv_path = _write_table(tmp_path / "r.csv", data)
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "1", "--n", "100", "--seed", "1"]
+    )
+    assert rc == 4
+    assert "numerically singular" in capsys.readouterr().err
+
+
+def test_backtest_price_levels_are_data_error(tmp_path, capsys):
+    steps = 1.0 + 0.01 * np.random.default_rng(41).standard_normal((5, 600))
+    csv_path = _write_table(tmp_path / "r.csv", 100.0 * np.cumprod(steps, axis=1))
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "1", "--n", "100", "--seed", "1"]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gmvshrink: data error:")
+    assert "prices rather than returns" in err
 
 
 def test_backtest_missing_file_is_data_error(tmp_path, capsys):

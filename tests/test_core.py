@@ -224,6 +224,19 @@ def test_solve_spd_matches_dense_solve():
     np.testing.assert_allclose(solve_spd(cov, rhs), np.linalg.solve(cov, rhs), rtol=1e-10)
 
 
+def test_solve_spd_rejects_zero_variance_asset():
+    """A constant asset's variance is rounding noise, far below the others."""
+    rng = np.random.default_rng(5)
+    block = 0.01 * rng.standard_normal((5, 100))
+    block[2] = 0.001
+    _, cov = sample_moments(block)
+    assert 0.0 < cov[2, 2] < 1e-30  # the factorization alone does not fail
+    with pytest.raises(SingularityError, match="numerically singular"):
+        solve_spd(cov, np.ones(5), n_obs=100)
+    with pytest.raises(SingularityError):
+        gmv_weights(np.diag([1e-4, 1e-4, 1e-38]))
+
+
 def test_solve_spd_reports_dimensions_on_failure():
     singular = np.ones((3, 3))
     with pytest.raises(SingularityError) as info:

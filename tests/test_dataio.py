@@ -2,17 +2,21 @@
 
 Covers:
 - strict returns-CSV validation with located error messages
+- the bulk returns parser agreeing with the strict row parser
 - the external-weights reader and its round trip with the writer
 - metadata hashing determinism
 """
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmvshrink.dataio import (
     DataFileError,
+    _parse_strict,
     config_hash,
     read_external_weights,
     read_returns_csv,
@@ -91,6 +95,109 @@ def test_read_returns_rejects_non_finite_cell(tmp_path):
 def test_read_returns_rejects_empty_table(tmp_path):
     with pytest.raises(DataFileError, match="no data rows"):
         read_returns_csv(_write(tmp_path, "date,aaa\n"))
+
+
+#: replacements for one value cell; the strict parser accepts some of them
+ODD_CELLS = (
+    " 0.25 ", "\t0.25", "", "   ", "1_0", "1e-3", "nan", "inf", "-Infinity", "#0.1", "0x1p3",
+    "0.25\x1c",  # float() rejects it, loadtxt strips it as whitespace
+)
+
+MUTATIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("quote"), st.integers(0, 99), st.integers(0, 99)),
+    st.just(("crlf",)),
+    st.tuples(st.just("blank"), st.integers(1, 99)),
+    st.just(("trailing-blank",)),
+    st.just(("bom",)),
+    st.tuples(st.just("cell"), st.integers(1, 99), st.integers(1, 99), st.sampled_from(ODD_CELLS)),
+    st.tuples(st.just("ragged"), st.integers(1, 99), st.booleans()),
+    st.tuples(st.just("date"), st.integers(1, 99), st.sampled_from(("2021-02-30", "03/01/2021", "repeat"))),
+)
+
+
+def _mutated_text(rows, mutations):
+    """Serialize header-first ``rows`` after applying ``mutations``."""
+    rows = [list(row) for row in rows]
+    quoted = set()
+    blank_before = set()
+    ending, prefix, tail = "\n", "", ""
+    for kind, *args in mutations:
+        if kind == "quote":
+            row = args[0] % len(rows)
+            quoted.add((row, args[1] % len(rows[row])))
+        elif kind == "crlf":
+            ending = "\r\n"
+        elif kind == "blank":
+            blank_before.add(1 + args[0] % (len(rows) - 1))
+        elif kind == "trailing-blank":
+            tail = ending
+        elif kind == "bom":
+            prefix = "\ufeff"
+        elif kind == "cell":
+            row = rows[1 + args[0] % (len(rows) - 1)]
+            if len(row) > 1:
+                row[1 + args[1] % (len(row) - 1)] = args[2]
+        elif kind == "ragged":
+            row = rows[1 + args[0] % (len(rows) - 1)]
+            if args[1]:
+                row.append("0.5")
+            elif len(row) > 1:
+                row.pop()
+        elif kind == "date" and args[1] != "repeat":
+            rows[1 + args[0] % (len(rows) - 1)][0] = args[1]
+        elif kind == "date" and len(rows) > 2:
+            row = 2 + args[0] % (len(rows) - 2)
+            rows[row][0] = rows[row - 1][0]
+    lines = []
+    for i, row in enumerate(rows):
+        if i in blank_before:
+            lines.append("")
+        lines.append(",".join(f'"{c}"' if (i, j) in quoted else c for j, c in enumerate(row)))
+    return prefix + ending.join(lines) + ending + tail
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(
+    p=st.integers(1, 4),
+    values=st.lists(
+        st.lists(st.floats(-0.5, 0.5, allow_subnormal=False), min_size=4, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+    style=st.sampled_from(("{!r}", "{:.6f}", "{:.3e}", "{:g}")),
+    gaps=st.lists(st.integers(1, 40), min_size=6, max_size=6),
+    mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+)
+# one asset and an empty cell: the line's value text is empty, which
+# loadtxt skips as a blank line instead of failing on it
+@example(p=1, values=[[0.1] * 4] * 3, style="{!r}", gaps=[1] * 6, mutations=[("cell", 2, 1, "")])
+def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, gaps, mutations):
+    """Same dates, names and array bits and layout, or the same error."""
+    day = date(2021, 3, 1)
+    rows = [["date"] + [f"a{j}" for j in range(p)]]
+    for row, gap in zip(values, gaps):
+        day += timedelta(days=gap)
+        rows.append([day.isoformat()] + [style.format(v) for v in row[:p]])
+    path = tmp_path_factory.mktemp("equiv") / "r.csv"
+    path.write_bytes(_mutated_text(rows, mutations).encode("utf-8"))
+    with open(path, newline="") as handle:
+        text = handle.read()
+
+    try:
+        expected = _parse_strict(path, text)
+    except DataFileError as exc:
+        with pytest.raises(DataFileError) as info:
+            read_returns_csv(path)
+        assert str(info.value) == str(exc)
+        return
+    dates, names, got = read_returns_csv(path)
+    assert dates == expected[0]
+    assert names == expected[1]
+    assert got.dtype == expected[2].dtype == np.float64
+    assert got.shape == expected[2].shape
+    assert got.strides == expected[2].strides
+    assert got.tobytes(order="A") == expected[2].tobytes(order="A")
 
 
 # ---------------------------------------------------------------------------
