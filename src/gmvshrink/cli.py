@@ -17,6 +17,7 @@ before anything that pulls numpy in.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -74,38 +75,55 @@ EXIT_NUMERICAL = 4
 DESK_SCALE_REPS = 1000
 
 
-class _CliError(Exception):
-    def __init__(self, exit_code, message):
-        super().__init__(message)
-        self.exit_code = exit_code
+class _ConfigError(Exception):
+    """A command-line argument is out of range; nothing has been written."""
 
 
-def _fail(exit_code, kind, message):
-    raise _CliError(exit_code, f"{kind} error: {' '.join(str(message).split())}")
+#: exit code and message kind per exception type, first match wins
+#: (every library error is a ValueError, so the order matters)
+_EXIT_CODES = (
+    (_ConfigError, EXIT_CONFIG, "config"),
+    (SingularityError, EXIT_NUMERICAL, "numerical"),
+    (
+        (DataFileError, OSError, InsufficientSampleError, DimensionError, DegenerateInputError),
+        EXIT_DATA,
+        "data",
+    ),
+)
+
+
+@contextlib.contextmanager
+def _checking_arguments():
+    """Report a ValueError raised by an argument validator as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _ConfigError(exc) from None
+
+
+def _at_least_one(flag, value):
+    if value < 1:
+        raise _ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def _parse_strategies(text):
     try:
         ids = tuple(int(part) for part in text.split(","))
     except ValueError:
-        _fail(EXIT_CONFIG, "config", f"--strategies must be comma-separated integers, got {text!r}")
+        raise _ConfigError(f"--strategies must be comma-separated integers, got {text!r}") from None
     bad = [s for s in ids if s not in STRATEGY_IDS]
     if bad:
-        _fail(EXIT_CONFIG, "config", f"unknown strategy ids {bad}, expected ids in {STRATEGY_IDS}")
-    if not ids:
-        _fail(EXIT_CONFIG, "config", "--strategies is empty")
+        raise _ConfigError(f"unknown strategy ids {bad}, expected ids in {STRATEGY_IDS}")
     return ids
 
 
 def _cmd_simulate(args):
     strategies = _parse_strategies(args.strategies)
     if args.reps > DESK_SCALE_REPS and not args.full:
-        _fail(
-            EXIT_CONFIG,
-            "config",
-            f"--reps {args.reps} exceeds the desk-scale cap of {DESK_SCALE_REPS}; pass --full to run it",
+        raise _ConfigError(
+            f"--reps {args.reps} exceeds the desk-scale cap of {DESK_SCALE_REPS}; pass --full to run it"
         )
-    try:
+    with _checking_arguments():
         config = ScenarioConfig(
             scenario=args.scenario,
             p=args.p,
@@ -117,92 +135,57 @@ def _cmd_simulate(args):
             literal_sigma=args.literal_sigma,
             standardize_t=not args.raw_t5,
         ).validate()
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        table = run_experiment(config)
-    except SingularityError as exc:
-        _fail(EXIT_NUMERICAL, "numerical", exc)
+    table = run_experiment(config)
     all_failed = [
         s for s in strategies
         if any(r.strategy == s and r.failed_reps >= config.reps for r in table.rows)
     ]
     if all_failed:
-        _fail(
-            EXIT_NUMERICAL,
-            "numerical",
-            f"every repetition failed for strategies {all_failed}",
-        )
+        raise SingularityError(f"every repetition failed for strategies {all_failed}")
     write_loss_table(table, args.out)
     return EXIT_OK
-
-
-def _load_series(args):
-    if args.n < 1:
-        _fail(EXIT_CONFIG, "config", f"--n must be at least 1, got {args.n}")
-    try:
-        dates, names, returns = read_returns_csv(args.input)
-    except OSError as exc:
-        _fail(EXIT_DATA, "data", exc)
-    except DataFileError as exc:
-        _fail(EXIT_DATA, "data", exc)
-    p, total_days = returns.shape
-    periods = args.T if args.T is not None else total_days // args.n
-    if periods < 1:
-        _fail(
-            EXIT_DATA,
-            "data",
-            f"series has {total_days} observations, shorter than one window of {args.n}",
-        )
-    try:
-        schedule = RebalanceSchedule.uniform(args.n, periods)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    return dates, names, returns, schedule
 
 
 def _strategy_arg(args):
     if args.strategy == EXTERNAL_STRATEGY:
         if args.weights_file is None:
-            _fail(EXIT_CONFIG, "config", "--strategy external requires --weights-file")
+            raise _ConfigError("--strategy external requires --weights-file")
         return EXTERNAL_STRATEGY
     if args.weights_file is not None:
-        _fail(EXIT_CONFIG, "config", "--weights-file only applies to --strategy external")
+        raise _ConfigError("--weights-file only applies to --strategy external")
     return int(args.strategy)
 
 
 def _run_file_backtest(args):
     strategy = _strategy_arg(args)
-    dates, names, returns, schedule = _load_series(args)
-    p = returns.shape[0]
+    _at_least_one("--n", args.n)
+    if args.T is not None:
+        _at_least_one("--T", args.T)
+    dates, names, returns = read_returns_csv(args.input)
+    p, total_days = returns.shape
+    periods = args.T if args.T is not None else total_days // args.n
+    if periods < 1:
+        raise DataFileError(
+            f"series has {total_days} observations, shorter than one window of {args.n}"
+        )
+    schedule = RebalanceSchedule.uniform(args.n, periods)
     external = None
     if strategy == EXTERNAL_STRATEGY:
-        try:
-            external = read_external_weights(args.weights_file, n_assets=p)
-        except OSError as exc:
-            _fail(EXIT_DATA, "data", exc)
-        except DataFileError as exc:
-            _fail(EXIT_DATA, "data", exc)
-    target = np.full(p, 1.0 / p)
-    try:
-        history, report = run_backtest(
-            returns,
-            strategy,
-            schedule,
-            target,
-            drift=args.drift,
-            external_weights=external,
-        )
-    except SingularityError as exc:
-        _fail(EXIT_NUMERICAL, "numerical", exc)
-    except (InsufficientSampleError, DimensionError, DegenerateInputError) as exc:
-        _fail(EXIT_DATA, "data", exc)
+        external = read_external_weights(args.weights_file, asset_names=names)
+    history, report = run_backtest(
+        returns,
+        strategy,
+        schedule,
+        np.full(p, 1.0 / p),
+        drift=args.drift,
+        external_weights=external,
+    )
     metadata = {
         "command": args.command,
         "input": args.input,
         "strategy": str(args.strategy),
-        "n": str(schedule.window_lengths[0]),
-        "T": str(schedule.period_count),
+        "n": str(args.n),
+        "T": str(periods),
         "p": str(p),
         "seed": str(args.seed),
         "drift": str(args.drift).lower(),
@@ -216,17 +199,13 @@ def _cmd_backtest(args):
     names, history, report, metadata = _run_file_backtest(args)
     write_perf_report(report, args.out, metadata)
     if args.wealth_out is not None:
-        wealth_meta = dict(metadata)
-        wealth_meta["config-hash"] = config_hash(metadata)
-        write_wealth_csv(report.wealth_path, args.wealth_out, wealth_meta)
+        write_wealth_csv(report.wealth_path, args.wealth_out, metadata)
     return EXIT_OK
 
 
 def _cmd_weights(args):
     names, history, report, metadata = _run_file_backtest(args)
-    weights_meta = dict(metadata)
-    weights_meta["config-hash"] = config_hash(metadata)
-    write_weights_csv(history, names, args.out, weights_meta)
+    write_weights_csv(history, names, args.out, metadata)
     return EXIT_OK
 
 
@@ -239,21 +218,18 @@ _RMT_TOLERANCES = {
 
 
 def _cmd_check_rmt(args):
-    out = sys.stdout
-    try:
+    _at_least_one("--reps", args.reps)
+    with _checking_arguments():
+        # the single-window kinds draw only from p, n and form
+        spec = GramSpec(args.p, args.n, args.m, form=args.form)
         limit_inv, limit_inv_sq = resolvent_limits(args.p / args.n)
-        rows = [
-            ("resolvent", "inv", GramSpec(args.p, args.n, form=args.form), limit_inv),
-            ("resolvent_sq", "inv_sq", GramSpec(args.p, args.n, form=args.form), limit_inv_sq),
-        ]
+        rows = [("resolvent", "inv", limit_inv), ("resolvent_sq", "inv_sq", limit_inv_sq)]
         if args.m > 0:
             constant = cross_resolvent_constant(args.n, args.m, args.p)
-            spec = GramSpec(args.p, args.n, args.m, form=args.form)
-            rows.append(("cross", "cross", spec, constant.d))
-            rows.append(("cross_centered", "cross_centered", spec, constant.d))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
+            rows.append(("cross", "cross", constant.d))
+            rows.append(("cross_centered", "cross_centered", constant.d))
 
+    out = sys.stdout
     metadata = {
         "p": str(args.p),
         "n": str(args.n),
@@ -269,7 +245,7 @@ def _cmd_check_rmt(args):
     header = f"{'kind':<16} {'target':>12} {'mc_mean':>12} {'stderr':>12} {'rel_err':>10} {'tol':>6} status\n"
     out.write(header)
     failed = 0
-    for label, kind, spec, target in rows:
+    for label, kind, target in rows:
         mean, stderr = mc_quadratic_form(
             spec, kind, reps=args.reps, seed=args.seed, tails=args.tails
         )
@@ -381,12 +357,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"gmvshrink: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"gmvshrink: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except Exception as exc:
+        for types, exit_code, kind in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"gmvshrink: {kind} error: {' '.join(str(exc).split())}", file=sys.stderr)
+                return exit_code
+        raise
 
 
 if __name__ == "__main__":

@@ -199,13 +199,14 @@ def _parse_strict(path, text):
     return dates, names, np.asarray(rows, dtype=float).T
 
 
-def read_external_weights(path, n_assets=None):
+def read_external_weights(path, asset_names=None):
     """Read a per-period weights CSV into a list of weight vectors.
 
     Accepts the format written by write_weights_csv: optional ``#``
     comment lines, a header ``period`` plus one column per asset, one
     row per rebalancing period in order. The period column must read
-    ``1, 2, ..., T``.
+    ``1, 2, ..., T``. Given ``asset_names`` (those of the returns file),
+    the asset columns must carry exactly those names in that order.
     """
     history = []
     with open(path, newline="") as handle:
@@ -224,10 +225,17 @@ def read_external_weights(path, n_assets=None):
     width = len(header) - 1
     if width < 1:
         raise DataFileError(f"{path}: no asset columns")
-    if n_assets is not None and width != n_assets:
-        raise DataFileError(
-            f"{path}: expected {n_assets} asset columns, got {width}"
-        )
+    if asset_names is not None:
+        if width != len(asset_names):
+            raise DataFileError(
+                f"{path}: expected {len(asset_names)} asset columns, got {width}"
+            )
+        for column, (got, expected) in enumerate(zip(header[1:], asset_names), start=2):
+            if got != expected:
+                raise DataFileError(
+                    f"{path}: header column {column} is {got!r}, expected "
+                    f"{expected!r} as in the returns file"
+                )
     for line_no, row in rows:
         if len(row) != len(header):
             raise DataFileError(
@@ -250,16 +258,16 @@ def read_external_weights(path, n_assets=None):
 
 
 def _write_metadata(handle, metadata):
+    """Metadata comment lines, closed by the hash of the metadata."""
     for key in metadata:
         handle.write(f"# {key}: {metadata[key]}\n")
+    handle.write(f"# config-hash: {config_hash(metadata)}\n")
 
 
 def write_loss_table(table, path):
     """Serialize a LossTable to CSV with metadata comment lines."""
-    metadata = dict(table.metadata)
-    metadata["config-hash"] = config_hash(table.metadata)
     with _open_out(path) as handle:
-        _write_metadata(handle, metadata)
+        _write_metadata(handle, table.metadata)
         handle.write("scenario,strategy,period,c,mean_loss,stderr,failed_reps\n")
         for row in table.rows:
             handle.write(

@@ -6,6 +6,8 @@ Covers:
 - holding semantics: weights lag one window, tails are held, nothing
   is evaluated before the first rebalance
 - drift mode, external weights, ruin handling and input validation
+- weights that follow a permutation of the assets and ignore the scale
+  of the returns, for every strategy
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
 )
+from gmvshrink.sim import build_population, generate
+from gmvshrink.strategies import STRATEGY_IDS
 
 
 def _daily_returns(p, days, seed, scale=0.01):
@@ -379,3 +383,23 @@ def test_report_invariants_across_seeds():
         assert report.turnover >= 0.0
         assert report.wealth_path[0] == 1.0
         assert not report.ruined
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_IDS)
+def test_weights_follow_asset_permutation_and_ignore_scale(strategy):
+    """Relabelling the assets relabels the weights, and rescaling every
+    return leaves them as they are (t5 data, p=12, n=30, T=5)."""
+    p, n, periods = 12, 30, 5
+    schedule = RebalanceSchedule.uniform(n, periods)
+    target = np.full(p, 1.0 / p)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        returns = 0.01 * generate(build_population(p, seed), "t5", n * periods, rng)
+        perm = rng.permutation(p)
+        history, _ = run_backtest(returns, strategy, schedule, target)
+        permuted, _ = run_backtest(returns[perm], strategy, schedule, target)
+        scaled, _ = run_backtest(3.7 * returns, strategy, schedule, target)
+        for w, w_perm, w_scaled in zip(history, permuted, scaled):
+            size = np.abs(w).max()
+            assert np.abs(w_perm - w[perm]).max() <= 1e-12 * size
+            assert np.abs(w_scaled - w).max() <= 1e-12 * size

@@ -4,8 +4,10 @@ Covers:
 - output layout of each subcommand
 - repeat invocations being byte-identical
 - file errors, configuration errors and numerical failures mapping to
-  exit codes 3, 2 and 4
-- the weights export / external replay round trip
+  exit codes 3, 2 and 4, with out-of-range arguments refused before any
+  output
+- the weights export / external replay round trip, and replay refusing a
+  weights file whose asset columns do not match the returns file
 """
 
 from datetime import date, timedelta
@@ -231,6 +233,20 @@ def test_backtest_price_levels_are_data_error(tmp_path, capsys):
     assert "prices rather than returns" in err
 
 
+@pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "7"])
+def test_backtest_duplicated_asset_is_numerical_error(tmp_path, capsys, strategy):
+    data = 0.01 * np.random.default_rng(43).standard_normal((5, 600))
+    data[3] = data[1]
+    csv_path = _write_table(tmp_path / "r.csv", data)
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", strategy, "--n", "100", "--seed", "1"]
+    )
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: numerical error:")
+
+
 def test_backtest_missing_file_is_data_error(tmp_path, capsys):
     rc = main(
         [
@@ -271,6 +287,20 @@ def test_window_length_below_one_is_config_error(tmp_path, capsys, command, wind
     )
     assert rc == 2
     assert capsys.readouterr().err.startswith("gmvshrink: config error: --n must be at least 1")
+
+
+@pytest.mark.parametrize("command", ["backtest", "weights"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_window_count_below_one_is_config_error(tmp_path, capsys, command, count):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=20, seed=17)
+    rc = main(
+        [command, "--input", str(csv_path), "--strategy", "6",
+         "--n", "5", "--T", count, "--seed", "1"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: config error: --T must be at least 1")
 
 
 def test_external_strategy_requires_weights_file(tmp_path, capsys):
@@ -340,6 +370,43 @@ def test_weights_export_roundtrips_through_external_backtest(tmp_path, capsys):
         assert float(replayed[key]) == pytest.approx(float(direct[key]), rel=1e-9)
 
 
+def _edit_asset_columns(text, edit):
+    """Reverse the asset columns (names and cells together) or rename one."""
+    lines = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            period, *cells = line.split(",")
+            if edit == "reversed":
+                cells.reverse()
+            elif period == "period":
+                cells[1] = "b1"
+            line = ",".join([period, *cells])
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("reversed", "header column 2 is 'a3', expected 'a0'"),
+        ("renamed", "header column 3 is 'b1', expected 'a1'"),
+    ],
+    ids=["reversed", "renamed"],
+)
+def test_external_weights_must_match_returns_assets(tmp_path, capsys, edit, message):
+    csv_path = _write_returns(tmp_path / "r.csv", p=4, days=30, seed=29)
+    weights_path = tmp_path / "w.csv"
+    common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
+    assert main(["weights", *common, "--strategy", "5", "--out", str(weights_path)]) == 0
+    weights_path.write_text(_edit_asset_columns(weights_path.read_text(), edit))
+    rc = main(["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: data error:")
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # check-rmt
 # ---------------------------------------------------------------------------
@@ -383,6 +450,23 @@ def test_check_rmt_rejects_degenerate_concentration(capsys):
     rc = main(["check-rmt", "--p", "4", "--n", "3", "--seed", "1"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("gmvshrink: config error:")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "need p < n, got p=4, n=0"),
+        (["--n", "30", "--reps", "0"], "--reps must be at least 1, got 0"),
+        (["--n", "30", "--m", "-2"], "need m >= 0, got m=-2"),
+    ],
+    ids=["n-zero", "reps-zero", "m-negative"],
+)
+def test_check_rmt_checks_arguments_before_output(capsys, flags, message):
+    rc = main(["check-rmt", "--p", "4", *flags, "--seed", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmvshrink: config error: {message}\n"
 
 
 def test_check_rmt_heavy_tails_option_runs(capsys):

@@ -209,7 +209,7 @@ def test_weights_roundtrip(tmp_path):
     history = [np.array([0.6, 0.4, 0.0]), np.array([-0.1, 0.55, 0.55])]
     path = tmp_path / "w.csv"
     write_weights_csv(history, ["x", "y", "z"], str(path), {"note": "test"})
-    loaded = read_external_weights(str(path), n_assets=3)
+    loaded = read_external_weights(str(path), asset_names=["x", "y", "z"])
     assert len(loaded) == 2
     for got, expected in zip(loaded, history):
         np.testing.assert_allclose(got, expected, rtol=1e-11)
@@ -222,11 +222,15 @@ def test_external_weights_reader_skips_comments(tmp_path):
     np.testing.assert_allclose(loaded[0], [0.5, 0.5])
 
 
-def test_external_weights_reader_checks_width(tmp_path):
-    text = "period,x,y\n1,0.5,0.5\n"
-    path = _write(tmp_path, text, name="w.csv")
-    with pytest.raises(DataFileError, match="expected 3 asset columns"):
-        read_external_weights(str(path), n_assets=3)
+def test_external_weights_reader_checks_asset_names(tmp_path):
+    path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n", name="w.csv")
+    with pytest.raises(DataFileError, match="expected 3 asset columns, got 2"):
+        read_external_weights(str(path), asset_names=["x", "y", "z"])
+    with pytest.raises(DataFileError, match="header column 2 is 'x', expected 'y'"):
+        read_external_weights(str(path), asset_names=["y", "x"])
+    with pytest.raises(DataFileError, match="header column 3 is 'y', expected 'w'"):
+        read_external_weights(str(path), asset_names=["x", "w"])
+    np.testing.assert_allclose(read_external_weights(str(path), ["x", "y"])[0], [0.5, 0.5])
 
 
 def test_external_weights_reader_needs_period_header(tmp_path):
