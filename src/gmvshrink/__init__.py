@@ -36,7 +36,6 @@ _EXPORTS = {
     "STRATEGY_LABELS": "strategies",
     "one_period_shrinkage": "strategies",
     "weight_sequence": "strategies",
-    "strategy_weights": "strategies",
     # random-matrix kernels
     "GramSpec": "rmt",
     "resolvent_limits": "rmt",

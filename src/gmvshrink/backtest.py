@@ -4,9 +4,10 @@ Applies one portfolio strategy to a long return series on a schedule of
 estimation windows. At the end of every window the strategy is fitted on
 the data seen so far and the resulting target weights are recorded; those
 weights are then held over the following window (and over any leftover
-days after the last window). Daily portfolio returns, the compounded
-wealth path and a set of weight statistics are collected into a single
-report.
+days after the last window). A weight history recorded elsewhere can be
+replayed through the same evaluation in place of a strategy. Daily
+portfolio returns, the compounded wealth path and a set of weight
+statistics are collected into a single report.
 
 Within a holding period the default accounting applies the recorded
 weights to each daily return vector. A drift mode is available in which
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,12 +32,9 @@ from .core import (
     as_returns_block,
     as_weight_vector,
 )
-from .strategies import STRATEGY_IDS, strategy_weights
+from .strategies import weight_sequence
 
 logger = logging.getLogger(__name__)
-
-#: strategy slot value selecting externally supplied per-period weights
-EXTERNAL_STRATEGY = "external"
 
 
 @dataclass(frozen=True)
@@ -216,14 +215,7 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
     return np.asarray(day_returns)
 
 
-def run_backtest(
-    returns,
-    strategy,
-    schedule,
-    target,
-    drift=False,
-    external_weights=None,
-):
+def run_backtest(returns, strategy, schedule, target, drift=False):
     """Backtest one strategy over a scheduled return series.
 
     Parameters
@@ -232,9 +224,12 @@ def run_backtest(
         Full return series, assets in rows and days in columns. Must
         cover at least the scheduled windows; extra trailing days are
         held with the final weights.
-    strategy : int or str
-        A strategy id from 1 to 7, or ``"external"`` to replay the
-        per-period weight vectors given in ``external_weights``.
+    strategy : int or sequence of array_like
+        What to evaluate, in one argument: a strategy id in
+        :data:`~gmvshrink.strategies.STRATEGY_IDS`, which is fitted on the
+        series, or the per-period weight vectors themselves, one per
+        scheduled period, which are replayed as given. Any other ``str``
+        or integer is an unknown strategy.
     schedule : RebalanceSchedule
     target : array_like
         Shrinkage target and pre-backtest holding, used as the baseline
@@ -242,9 +237,6 @@ def run_backtest(
     drift : bool
         Let holdings evolve with prices within each holding period
         instead of applying the recorded weights to every day.
-    external_weights : sequence of array_like, optional
-        One weight vector per period, required exactly when
-        ``strategy == "external"``.
 
     Returns
     -------
@@ -259,25 +251,17 @@ def run_backtest(
             f"{schedule.total_observations}"
         )
 
-    if strategy == EXTERNAL_STRATEGY:
-        if external_weights is None:
-            raise ValueError("strategy 'external' needs external_weights")
-        if len(external_weights) != schedule.period_count:
+    if isinstance(strategy, (str, numbers.Integral)):
+        # weight_sequence raises the unknown-strategy ValueError
+        blocks = [returns[:, a:b] for a, b in schedule.spans()]
+        history = list(weight_sequence(blocks, strategy, target))
+    else:
+        if len(strategy) != schedule.period_count:
             raise DimensionError(
-                f"got {len(external_weights)} external weight vectors for "
+                f"got {len(strategy)} weight vectors for "
                 f"{schedule.period_count} periods"
             )
-        history = [as_weight_vector(w, n_assets=p) for w in external_weights]
-    elif strategy in STRATEGY_IDS:
-        if external_weights is not None:
-            raise ValueError("external_weights only apply to strategy 'external'")
-        blocks = [returns[:, a:b] for a, b in schedule.spans()]
-        history = strategy_weights(blocks, strategy, target)
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}, expected an id in {STRATEGY_IDS} "
-            f"or {EXTERNAL_STRATEGY!r}"
-        )
+        history = [as_weight_vector(w, n_assets=p) for w in strategy]
 
     stats = performance_measures(history)
     move = turnover(history, target)

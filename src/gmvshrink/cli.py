@@ -36,11 +36,7 @@ for _var in _THREAD_VARS:
 
 import numpy as np  # noqa: E402  (thread pinning above must come first)
 
-from .backtest import (  # noqa: E402
-    EXTERNAL_STRATEGY,
-    RebalanceSchedule,
-    run_backtest,
-)
+from .backtest import RebalanceSchedule, run_backtest  # noqa: E402
 from .core import (  # noqa: E402
     DegenerateInputError,
     DimensionError,
@@ -65,6 +61,9 @@ from .rmt import (  # noqa: E402
 )
 from .sim import SCENARIOS, ScenarioConfig, run_experiment  # noqa: E402
 from .strategies import STRATEGY_IDS  # noqa: E402
+
+#: --strategy value that replays the weights CSV given with --weights-file
+EXTERNAL_STRATEGY = "external"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,16 +168,10 @@ def _run_file_backtest(args):
             f"series has {total_days} observations, shorter than one window of {args.n}"
         )
     schedule = RebalanceSchedule.uniform(args.n, periods)
-    external = None
     if strategy == EXTERNAL_STRATEGY:
-        external = read_external_weights(args.weights_file, asset_names=names)
+        strategy = read_external_weights(args.weights_file, asset_names=names)
     history, report = run_backtest(
-        returns,
-        strategy,
-        schedule,
-        np.full(p, 1.0 / p),
-        drift=args.drift,
-        external_weights=external,
+        returns, strategy, schedule, np.full(p, 1.0 / p), drift=args.drift
     )
     metadata = {
         "command": args.command,

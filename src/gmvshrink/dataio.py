@@ -326,7 +326,8 @@ def write_weights_csv(history, asset_names, path, metadata):
         )
     with _open_out(path) as handle:
         _write_metadata(handle, metadata)
-        handle.write("period," + ",".join(asset_names) + "\n")
+        # quoted as needed, so any name the returns header held reads back
+        csv.writer(handle, lineterminator="\n").writerow(["period", *asset_names])
         for period, weights in enumerate(history, start=1):
             cells = ",".join(_fmt(float(w)) for w in weights)
             handle.write(f"{period},{cells}\n")

@@ -256,6 +256,8 @@ class ScenarioConfig:
             )
         if self.p < 5:
             raise ValueError(f"need p >= 5, got p={self.p}")
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
         if self.periods < 1:
             raise ValueError(f"need at least one period, got {self.periods}")
         if self.reps < 1:

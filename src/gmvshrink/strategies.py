@@ -14,10 +14,6 @@ simulation harness, the backtest engine and the CLI:
 Strategies 1-4 run the shrinkage pipeline of :mod:`gmvshrink.nonoverlap`
 (:data:`PIPELINES`) and strategy 7 is its first fixed-mode step, taken
 afresh from the target every window.
-
-An eighth slot accepts externally supplied per-period weights so
-third-party estimators can be compared without being implemented here; the
-backtest engine wires it through its ``external_weights`` argument.
 """
 
 from __future__ import annotations
@@ -95,8 +91,3 @@ def weight_sequence(blocks, strategy, target):
     else:  # strategy 7
         for block in blocks:
             yield one_period_shrinkage(block, target)
-
-
-def strategy_weights(blocks, strategy, target):
-    """Materialize :func:`weight_sequence` as a list of weight vectors."""
-    return list(weight_sequence(blocks, strategy, target))

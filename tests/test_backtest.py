@@ -261,12 +261,8 @@ def test_drift_mode_lets_holdings_ride():
     schedule = RebalanceSchedule.uniform(2, 2)
     target = np.array([0.5, 0.5])
     external = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-    _, fixed = run_backtest(
-        returns, "external", schedule, target, external_weights=external
-    )
-    _, drift = run_backtest(
-        returns, "external", schedule, target, drift=True, external_weights=external
-    )
+    _, fixed = run_backtest(returns, external, schedule, target)
+    _, drift = run_backtest(returns, external, schedule, target, drift=True)
     np.testing.assert_allclose(np.diff(fixed.wealth_path) / fixed.wealth_path[:-1], [0.05, 0.05])
     expected_second = (0.55 / 1.05) * 0.1
     np.testing.assert_allclose(
@@ -274,12 +270,74 @@ def test_drift_mode_lets_holdings_ride():
     )
 
 
+def _drifting_day_returns(weights, block):
+    """Day returns of dollar holdings bought at ``weights`` and left alone."""
+    values = np.asarray(weights, dtype=float).copy()
+    out = []
+    for y in block.T:
+        out.append(float(values @ y) / values.sum())
+        values = values * (1.0 + y)
+    return out
+
+
+def test_drift_mode_restarts_from_recorded_weights_at_each_rebalance():
+    p = 4
+    schedule = RebalanceSchedule((5, 6, 4, 7))
+    returns = _daily_returns(p, 22, seed=21, scale=0.05)
+    history = [w / w.sum() for w in np.random.default_rng(22).uniform(0.1, 1.0, (4, p))]
+    day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    first = schedule.window_lengths[0]  # days before the first rebalance
+
+    reference = []
+    for weights, (start, end) in zip(history, schedule.spans()[1:]):
+        reference += _drifting_day_returns(weights, returns[:, start:end])
+        # the first day of every holding span uses the recorded weights as is
+        assert day_returns[start - first] == pytest.approx(weights @ returns[:, start], rel=1e-13)
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=0.0)
+    assert day_returns.shape == (22 - first,)
+
+
+def test_drift_mode_lets_last_weights_ride_over_leftover_days():
+    returns = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.1, 0.1, -0.05],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.02],
+        ]
+    )
+    schedule = RebalanceSchedule.uniform(2, 2)  # days 4 to 6 are left over
+    history = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+    day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    np.testing.assert_allclose(
+        day_returns, [0.0, 0.0, 0.02, 0.022 / 1.02, 0.0039 / 1.042], rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        day_returns[2:], _drifting_day_returns(history[-1], returns[:, 4:]), rtol=1e-12
+    )
+
+
+def test_drift_mode_ruin_mid_span_ends_the_series():
+    returns = np.array(
+        [
+            [0.0, 0.1, -3.0, 0.2, 0.1],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    schedule = RebalanceSchedule((1, 4))
+    target = np.array([0.5, 0.5])
+    # day 2 loses 0.55 / 1.05 * 300 percent of the drifted portfolio
+    day_returns = _holding_day_returns(returns, [target, target], schedule, drift=True)
+    np.testing.assert_allclose(day_returns, [0.05, -1.65 / 1.05], rtol=1e-13)
+    _, report = run_backtest(returns, 6, schedule, target, drift=True)
+    assert report.ruined
+    np.testing.assert_allclose(report.wealth_path, (1.0, 1.05, -0.6), rtol=1e-13)
+    assert report.mean_return == pytest.approx(np.mean([0.05, -1.65 / 1.05]), rel=1e-13)
+
+
 def test_ruin_truncates_moments():
     returns = np.array([[0.5, 0.3, -1.2, 0.1]])
     schedule = RebalanceSchedule((1, 3))
     target = np.array([1.0])
-    _, report = run_backtest(returns, "external", schedule, target,
-                             external_weights=[target, target])
+    _, report = run_backtest(returns, [target, target], schedule, target)
     assert report.ruined
     # only the two days up to the wipe-out enter the moments
     assert report.mean_return == pytest.approx(np.mean([0.3, -1.2]))
@@ -298,9 +356,7 @@ def test_external_weights_reproduce_strategy_run():
     schedule = RebalanceSchedule.uniform(10, 3)
     target = np.full(p, 0.25)
     history, report = run_backtest(returns, 5, schedule, target)
-    replay_history, replay_report = run_backtest(
-        returns, "external", schedule, target, external_weights=history
-    )
+    replay_history, replay_report = run_backtest(returns, history, schedule, target)
     assert report == replay_report
     for got, expected in zip(replay_history, history):
         np.testing.assert_array_equal(got, expected)
@@ -311,31 +367,14 @@ def test_external_weight_count_must_match_periods():
     returns = _daily_returns(p, 20, seed=7)
     schedule = RebalanceSchedule.uniform(10, 2)
     with pytest.raises(DimensionError):
-        run_backtest(returns, "external", schedule, np.full(p, 1 / 3),
-                     external_weights=[np.full(p, 1 / 3)])
-
-
-def test_external_strategy_needs_weights():
-    p = 3
-    returns = _daily_returns(p, 20, seed=7)
-    schedule = RebalanceSchedule.uniform(10, 2)
-    with pytest.raises(ValueError):
-        run_backtest(returns, "external", schedule, np.full(p, 1 / 3))
-
-
-def test_numbered_strategy_rejects_external_weights():
-    p = 3
-    returns = _daily_returns(p, 20, seed=7)
-    schedule = RebalanceSchedule.uniform(10, 2)
-    with pytest.raises(ValueError):
-        run_backtest(returns, 6, schedule, np.full(p, 1 / 3),
-                     external_weights=[np.full(p, 1 / 3)] * 2)
+        run_backtest(returns, [np.full(p, 1 / 3)], schedule, np.full(p, 1 / 3))
 
 
 def test_unknown_strategy_identifier():
     returns = _daily_returns(2, 10, seed=7)
-    with pytest.raises(ValueError):
-        run_backtest(returns, 9, RebalanceSchedule((5,)), np.array([0.5, 0.5]))
+    for strategy in (9, "external"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_backtest(returns, strategy, RebalanceSchedule((5,)), np.array([0.5, 0.5]))
 
 
 def test_window_size_preconditions():

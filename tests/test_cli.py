@@ -113,6 +113,20 @@ def test_simulate_rejects_bad_strategy_list(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_simulate_window_below_one_is_config_error(capsys, window):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "8", "--n", window,
+            "--T", "2", "--reps", "2", "--strategies", "6", "--seed", "1",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: config error: need n >= 1")
+
+
 def test_simulate_writes_to_file(tmp_path, capsys):
     out = tmp_path / "losses.csv"
     argv = [
@@ -405,6 +419,23 @@ def test_external_weights_must_match_returns_assets(tmp_path, capsys, edit, mess
     assert captured.out == ""
     assert captured.err.startswith("gmvshrink: data error:")
     assert message in captured.err
+
+
+def test_external_replay_of_quoted_asset_names(tmp_path, capsys):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=30, seed=31)
+    text = csv_path.read_text().split("\n", 1)[1]
+    csv_path.write_text('date,"x,y","say ""hi""",c\n' + text)
+    weights_path = tmp_path / "w.csv"
+    common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
+    assert main(["weights", *common, "--strategy", "5", "--out", str(weights_path)]) == 0
+    assert _data_lines(weights_path.read_text())[0] == 'period,"x,y","say ""hi""",c'
+    assert main(["backtest", *common, "--strategy", "5"]) == 0
+    direct = _report_dict(capsys.readouterr().out)
+    rc = main(["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)])
+    assert rc == 0
+    replay = _report_dict(capsys.readouterr().out)
+    for key in ("final_wealth", "turnover", "mean_abs_weight"):
+        assert replay[key] == direct[key]
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,25 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
 # ---------------------------------------------------------------------------
 
 
-def test_weights_roundtrip(tmp_path):
+def _check_weights_roundtrip(tmp_path, names):
     history = [np.array([0.6, 0.4, 0.0]), np.array([-0.1, 0.55, 0.55])]
     path = tmp_path / "w.csv"
-    write_weights_csv(history, ["x", "y", "z"], str(path), {"note": "test"})
-    loaded = read_external_weights(str(path), asset_names=["x", "y", "z"])
+    write_weights_csv(history, names, str(path), {"note": "test"})
+    loaded = read_external_weights(str(path), asset_names=names)
     assert len(loaded) == 2
     for got, expected in zip(loaded, history):
         np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+
+def test_weights_roundtrip(tmp_path):
+    _check_weights_roundtrip(tmp_path, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize(
+    "names", [["x,y", "b", "c"], ['say "hi"', "b", "c"]], ids=["comma", "quote"]
+)
+def test_weights_roundtrip_quoted_names(tmp_path, names):
+    _check_weights_roundtrip(tmp_path, names)
 
 
 def test_external_weights_reader_skips_comments(tmp_path):

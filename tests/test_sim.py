@@ -264,8 +264,11 @@ def test_config_validation():
         _small_config(strategies=()).validate()
     with pytest.raises(ValueError):
         _small_config(n=9).validate()  # windows too short for estimation
-    # but the no-estimation strategy tolerates any window length
+    # but the no-estimation strategy tolerates any positive window length
     _small_config(n=9, strategies=(6,)).validate()
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            _small_config(n=n, strategies=(6,)).validate()
 
 
 def test_scenario_registry():
