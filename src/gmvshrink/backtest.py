@@ -18,7 +18,6 @@ grows when the asset outperforms the portfolio.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -159,22 +158,24 @@ def wealth_and_drawdown(daily_returns):
         raise DimensionError(f"expected a 1-d return series, got shape {daily_returns.shape}")
     if not np.all(np.isfinite(daily_returns)):
         raise DegenerateInputError("daily returns contain non-finite values")
-    path = [1.0]
-    ruined = False
-    for r in daily_returns.tolist():
-        path.append(path[-1] * (1.0 + r))
-        if not math.isfinite(path[-1]):
-            raise DegenerateInputError(
-                f"wealth overflows on day {len(path) - 1} of the holding span; "
-                "the cells may be prices rather than returns"
-            )
-        if r <= -1.0:
-            ruined = True
-            logger.warning("portfolio ruined: daily return %.6g wiped out wealth", r)
-            break
+    ruin = np.flatnonzero(daily_returns <= -1.0)
+    ruined = ruin.size > 0
+    if ruined:
+        daily_returns = daily_returns[: ruin[0] + 1]
+    # cumprod multiplies in sequence: each day is the product a loop forms
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = np.cumprod(np.concatenate(([1.0], 1.0 + daily_returns)))
+    overflow = np.flatnonzero(~np.isfinite(path))
+    if overflow.size:
+        raise DegenerateInputError(
+            f"wealth overflows on day {overflow[0]} of the holding span; "
+            "the cells may be prices rather than returns"
+        )
+    if ruined:
+        logger.warning("portfolio ruined: daily return %.6g wiped out wealth", daily_returns[-1])
     changes = np.diff(path)
     worst = float(changes.min()) if changes.size else 0.0
-    return WealthSummary(path=tuple(path), worst_daily_change=worst, ruined=ruined)
+    return WealthSummary(path=tuple(path.tolist()), worst_daily_change=worst, ruined=ruined)
 
 
 def _holding_day_returns(returns, weights_history, schedule, drift):

@@ -7,7 +7,9 @@ its file line and column named, never imputed. A well-formed file is
 parsed in bulk (one C-level parse of all value cells); any file the bulk
 path does not fully accept is re-read by the strict row parser, which
 locates the error or, for a valid but unusual file, returns the same
-result.
+result. The external-weights CSV has the same shape, with ``period`` in
+place of ``date``, and goes through the same strict parser after the
+``#`` comment lines that precede its header.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
@@ -76,22 +78,22 @@ def read_returns_csv(path):
     return parsed if parsed is not None else _parse_strict(path, text)
 
 
-def _asset_names(path, header):
+def _asset_names(path, header, key="date", line=1):
     """Validate a parsed header row and return its asset names."""
-    if not header or header[0] != "date":
+    if not header or header[0] != key:
         raise DataFileError(
-            f"{path}, line 1: first header column must be 'date', got "
-            f"{header[0]!r}" if header else f"{path}, line 1: empty header"
+            f"{path}, line {line}: first header column must be {key!r}, got "
+            f"{header[0]!r}" if header else f"{path}, line {line}: empty header"
         )
     names = header[1:]
     if not names:
-        raise DataFileError(f"{path}, line 1: no asset columns")
+        raise DataFileError(f"{path}, line {line}: no asset columns")
     seen = set()
     for name in names:
         if not name:
-            raise DataFileError(f"{path}, line 1: empty asset column name")
+            raise DataFileError(f"{path}, line {line}: empty asset column name")
         if name in seen:
-            raise DataFileError(f"{path}, line 1: duplicate asset column {name!r}")
+            raise DataFileError(f"{path}, line {line}: duplicate asset column {name!r}")
         seen.add(name)
     return names
 
@@ -145,35 +147,50 @@ def _parse_bulk(path, text):
     return dates, names, values.T
 
 
-def _parse_strict(path, text):
-    """Parse a returns file row by row, raising at the first bad cell."""
+def _read_date(cell, dates):
+    """The ISO-8601 date in ``cell``, later than every date before it."""
+    try:
+        date = datetime.date.fromisoformat(cell)
+    except ValueError:
+        raise ValueError(f"not an ISO-8601 date: {cell!r}") from None
+    if dates and date <= dates[-1]:
+        raise ValueError(f"dates must be strictly ascending, got {date} after {dates[-1]}")
+    return date
+
+
+def _read_period(cell, periods):
+    """The period number in ``cell``, which must be the next of 1, 2, ..."""
+    period = len(periods) + 1
+    if cell != str(period):
+        raise ValueError(f"expected period {period}, got {cell!r}")
+    return period
+
+
+def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
+    """Parse a key-column table into ``(keys, asset_names, p x T array)``.
+
+    ``text`` starts with the header, line ``first_line`` of the file.
+    ``read_key(cell, keys_so_far)`` returns a row's key or raises
+    ValueError; the first bad cell raises DataFileError naming its place.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise DataFileError(f"{path}: file is empty") from None
-    names = _asset_names(path, header)
+    names = _asset_names(path, header, key, first_line)
 
-    dates = []
+    keys = []
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(reader, start=first_line + 1):
         if len(row) != len(header):
             raise DataFileError(
                 f"{path}, line {line_no}: expected {len(header)} cells, got {len(row)}"
             )
         try:
-            date = datetime.date.fromisoformat(row[0])
-        except ValueError:
-            raise DataFileError(
-                f"{path}, line {line_no}, column 'date': not an ISO-8601 "
-                f"date: {row[0]!r}"
-            ) from None
-        if dates and date <= dates[-1]:
-            raise DataFileError(
-                f"{path}, line {line_no}, column 'date': dates must be "
-                f"strictly ascending, got {date} after {dates[-1]}"
-            )
-        dates.append(date)
+            keys.append(read_key(row[0], keys))
+        except ValueError as exc:
+            raise DataFileError(f"{path}, line {line_no}, column {key!r}: {exc}") from None
         values = []
         for name, cell in zip(names, row[1:]):
             if cell.strip() == "":
@@ -196,65 +213,40 @@ def _parse_strict(path, text):
         rows.append(values)
     if not rows:
         raise DataFileError(f"{path}: no data rows")
-    return dates, names, np.asarray(rows, dtype=float).T
+    return keys, names, np.asarray(rows, dtype=float).T
 
 
 def read_external_weights(path, asset_names=None):
     """Read a per-period weights CSV into a list of weight vectors.
 
     Accepts the format written by write_weights_csv: optional ``#``
-    comment lines, a header ``period`` plus one column per asset, one
-    row per rebalancing period in order. The period column must read
-    ``1, 2, ..., T``. Given ``asset_names`` (those of the returns file),
-    the asset columns must carry exactly those names in that order.
+    comment lines before the header, a header ``period`` plus one column
+    per asset, one row per rebalancing period in order. The period column
+    must read ``1, 2, ..., T``. The table is checked like a returns file
+    (``period`` in place of ``date``), with errors naming the file line
+    and column. Given ``asset_names`` (those of the returns file), the
+    asset columns must carry exactly those names in that order.
     """
-    history = []
     with open(path, newline="") as handle:
-        lines = [(no, ln) for no, ln in enumerate(handle, start=1) if not ln.startswith("#")]
-    # rows are numbered by their line in the file, comment lines included
-    rows = zip((no for no, _ in lines), csv.reader(ln for _, ln in lines))
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataFileError(f"{path}: file is empty") from None
-    if not header or header[0] != "period":
-        raise DataFileError(
-            f"{path}: first header column must be 'period', got "
-            f"{header[0]!r}" if header else f"{path}: empty header"
-        )
-    width = len(header) - 1
-    if width < 1:
-        raise DataFileError(f"{path}: no asset columns")
+        lines = handle.readlines()
+    skip = 0
+    while skip < len(lines) and lines[skip].startswith("#"):
+        skip += 1
+    _, names, values = _parse_strict(
+        path, "".join(lines[skip:]), "period", _read_period, first_line=skip + 1
+    )
     if asset_names is not None:
-        if width != len(asset_names):
+        if len(names) != len(asset_names):
             raise DataFileError(
-                f"{path}: expected {len(asset_names)} asset columns, got {width}"
+                f"{path}: expected {len(asset_names)} asset columns, got {len(names)}"
             )
-        for column, (got, expected) in enumerate(zip(header[1:], asset_names), start=2):
+        for column, (got, expected) in enumerate(zip(names, asset_names), start=2):
             if got != expected:
                 raise DataFileError(
                     f"{path}: header column {column} is {got!r}, expected "
                     f"{expected!r} as in the returns file"
                 )
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise DataFileError(
-                f"{path}, row {line_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        if row[0] != str(len(history) + 1):
-            raise DataFileError(
-                f"{path}, row {line_no}: expected period {len(history) + 1}, got {row[0]!r}"
-            )
-        try:
-            weights = [float(cell) for cell in row[1:]]
-        except ValueError:
-            raise DataFileError(
-                f"{path}, row {line_no}: weight cells must be numbers"
-            ) from None
-        history.append(np.asarray(weights))
-    if not history:
-        raise DataFileError(f"{path}: no weight rows")
-    return history
+    return list(values.T)
 
 
 def _write_metadata(handle, metadata):

@@ -267,6 +267,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown strategies {unknown}, expected ids in {STRATEGY_IDS}")
         if not self.strategies:
             raise ValueError("no strategies requested")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"each strategy may be requested once, got {list(self.strategies)}")
         # every strategy but holding the target estimates from n-day windows
         if any(s != 6 for s in self.strategies) and self.n <= self.p + 1:
             raise ValueError(

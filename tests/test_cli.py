@@ -113,6 +113,19 @@ def test_simulate_rejects_bad_strategy_list(capsys):
     assert rc == 2
 
 
+def test_simulate_rejects_repeated_strategy(capsys):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "8", "--n", "20",
+            "--T", "2", "--reps", "2", "--strategies", "1,1,6", "--seed", "1",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: config error: each strategy may be requested once")
+
+
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_simulate_window_below_one_is_config_error(capsys, window):
     rc = main(
@@ -436,6 +449,17 @@ def test_external_replay_of_quoted_asset_names(tmp_path, capsys):
     replay = _report_dict(capsys.readouterr().out)
     for key in ("final_wealth", "turnover", "mean_abs_weight"):
         assert replay[key] == direct[key]
+
+
+def test_external_replay_of_header_cell_with_hash_line(tmp_path, capsys):
+    csv_path = _write_returns(tmp_path / "r.csv", p=2, days=30, seed=37)
+    text = csv_path.read_text().split("\n", 1)[1]
+    csv_path.write_text('date,"a\n#b",c\n' + text)
+    weights_path = tmp_path / "w.csv"
+    common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
+    assert main(["weights", *common, "--strategy", "6", "--out", str(weights_path)]) == 0
+    rc = main(["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)])
+    assert rc == 0
 
 
 # ---------------------------------------------------------------------------

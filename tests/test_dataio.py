@@ -220,7 +220,9 @@ def test_weights_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "names", [["x,y", "b", "c"], ['say "hi"', "b", "c"]], ids=["comma", "quote"]
+    "names",
+    [["x,y", "b", "c"], ['say "hi"', "b", "c"], ["a\n#b", "c", "d"]],
+    ids=["comma", "quote", "hash-line"],
 )
 def test_weights_roundtrip_quoted_names(tmp_path, names):
     _check_weights_roundtrip(tmp_path, names)
@@ -231,6 +233,23 @@ def test_external_weights_reader_skips_comments(tmp_path):
     path = _write(tmp_path, text, name="w.csv")
     loaded = read_external_weights(str(path))
     np.testing.assert_allclose(loaded[0], [0.5, 0.5])
+
+
+def test_external_weights_reader_skips_comments_only_before_header(tmp_path):
+    path = _write(tmp_path, "# a: 1\nperiod,x,y\n# b: 2\n1,0.5,0.5\n", name="w.csv")
+    with pytest.raises(DataFileError, match="line 3: expected 3 cells, got 1"):
+        read_external_weights(str(path))
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("nan", "non-finite value 'nan'"), ("", "missing cell"), ("x", "not a number: 'x'")],
+    ids=["nan", "empty", "text"],
+)
+def test_external_weights_reader_locates_bad_cells(tmp_path, cell, message):
+    path = _write(tmp_path, f"# a: 1\nperiod,x,y\n1,0.5,0.5\n2,0.5,{cell}\n", name="w.csv")
+    with pytest.raises(DataFileError, match=f"line 4, column 'y': {message}"):
+        read_external_weights(str(path))
 
 
 def test_external_weights_reader_checks_asset_names(tmp_path):
@@ -252,14 +271,14 @@ def test_external_weights_reader_needs_period_header(tmp_path):
 
 def test_external_weights_reader_requires_periods_in_order(tmp_path):
     path = _write(tmp_path, "period,x,y\n2,0.5,0.5\n1,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="row 2: expected period 1, got '2'"):
+    with pytest.raises(DataFileError, match="line 2, column 'period': expected period 1, got '2'"):
         read_external_weights(str(path))
     path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="row 3: expected period 2, got '3'"):
+    with pytest.raises(DataFileError, match="line 3, column 'period': expected period 2, got '3'"):
         read_external_weights(str(path))
     # rows are numbered by file line, metadata comment lines included
     path = _write(tmp_path, "# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="row 5: expected period 2, got '3'"):
+    with pytest.raises(DataFileError, match="line 5, column 'period': expected period 2, got '3'"):
         read_external_weights(str(path))
 
 

@@ -262,6 +262,8 @@ def test_config_validation():
         _small_config(strategies=(1, 9)).validate()
     with pytest.raises(ValueError):
         _small_config(strategies=()).validate()
+    with pytest.raises(ValueError, match="requested once"):
+        _small_config(strategies=(1, 1, 6)).validate()
     with pytest.raises(ValueError):
         _small_config(n=9).validate()  # windows too short for estimation
     # but the no-estimation strategy tolerates any positive window length
