@@ -11,8 +11,9 @@ statistics are collected into a single report.
 
 Within a holding period the default accounting applies the recorded
 weights to each daily return vector. A drift mode is available in which
-holdings evolve with prices between rebalances, so the weight on an asset
-grows when the asset outperforms the portfolio.
+holdings evolve with prices between rebalances (buy and hold within each
+holding period), so the weight on an asset grows when the asset
+outperforms the portfolio.
 """
 
 from __future__ import annotations
@@ -184,9 +185,18 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
     The weights recorded at rebalance ``i`` apply to window ``i+1``; the
     last recorded weights also cover any days beyond the final window.
     Nothing is evaluated during the first window, before any weights
-    exist. Without drift each span is one matrix-vector product; in drift
-    mode the holdings evolve with prices day by day within each span,
-    restarting from the recorded weights at each rebalance.
+    exist. Without drift each span is one matrix-vector product.
+
+    In drift mode each span is a buy-and-hold position: bought at the
+    recorded weights ``w`` on its first day and left alone until the next
+    rebalance, with the remainder ``1 - sum(w)`` held as cash at zero
+    return. With ``G_t`` the assets' gross returns compounded over the
+    span's days before day ``t`` (1 on its first day), the portfolio is
+    worth ``V_t = (1 - sum(w)) + w . G_t`` of its starting value and
+    returns ``(w * G_t) . y_t / V_t`` on day ``t``; each span is one
+    cumulative product. The series ends on the first day whose return
+    is at or below -100 percent: the holdings are gone, so no later day
+    or span is evaluated.
     """
     spans = schedule.spans()
     total_days = returns.shape[1]
@@ -205,15 +215,25 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
         )
     day_returns = []
     for weights, start, end in holding_spans:
-        held = np.asarray(weights, dtype=float).copy()
-        for t in range(start, end):
-            y = returns[:, t]
-            r = float(held @ y)
-            day_returns.append(r)
-            if 1.0 + r <= 0.0:
-                return np.asarray(day_returns)  # ruin: holdings are gone
-            held = held * (1.0 + y) / (1.0 + r)
-    return np.asarray(day_returns)
+        block = returns[:, start:end]
+        weights = np.asarray(weights, dtype=float)
+        # days past a ruin day are discarded, whatever they hold
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # holdings w * G_t, compounded from w so that a zero weight
+            # stays zero even where its asset's G_t would overflow
+            held = np.empty_like(block)
+            held[:, 0] = weights
+            np.add(block[:, :-1], 1.0, out=held[:, 1:])
+            np.cumprod(held, axis=1, out=held)
+            value = (1.0 - weights.sum()) + held.sum(axis=0)
+            value[0] = 1.0
+            span = np.einsum("ij,ij->j", held, block) / value
+        ruin = np.flatnonzero(1.0 + span <= 0.0)
+        if ruin.size:
+            day_returns.append(span[: ruin[0] + 1])  # ruin: holdings are gone
+            break
+        day_returns.append(span)
+    return np.concatenate(day_returns or [np.empty(0)])
 
 
 def run_backtest(returns, strategy, schedule, target, drift=False):

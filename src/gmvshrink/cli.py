@@ -155,12 +155,33 @@ def _strategy_arg(args):
     return int(args.strategy)
 
 
+def _refuse_price_levels(path, names, returns):
+    """Raise DataFileError for an asset column that reads as price levels.
+
+    A column is flagged when every cell is positive and its typical
+    day-to-day move is nonzero but under a tenth of its typical level:
+    ``0 < median|diff| < 0.1 * median``. The rule compares each column
+    with its own level, so it does not depend on the units of the cells.
+    A constant column passes and is left to the singular-covariance check.
+    """
+    for i in np.flatnonzero((returns > 0.0).all(axis=1)):
+        level = np.median(returns[i])
+        step = np.median(np.abs(np.diff(returns[i]))) if returns.shape[1] > 1 else 0.0
+        if 0.0 < step < 0.1 * level:
+            raise DataFileError(
+                f"{path}, column {names[i]!r}: every cell is positive and the median "
+                f"day-to-day change ({step:.6g}) is under a tenth of the median cell "
+                f"({level:.6g}); the cells may be prices rather than returns"
+            )
+
+
 def _run_file_backtest(args):
     strategy = _strategy_arg(args)
     _at_least_one("--n", args.n)
     if args.T is not None:
         _at_least_one("--T", args.T)
     dates, names, returns = read_returns_csv(args.input)
+    _refuse_price_levels(args.input, names, returns)
     p, total_days = returns.shape
     periods = args.T if args.T is not None else total_days // args.n
     if periods < 1:

@@ -169,7 +169,9 @@ def _read_period(cell, periods):
 def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
     """Parse a key-column table into ``(keys, asset_names, p x T array)``.
 
-    ``text`` starts with the header, line ``first_line`` of the file.
+    ``text`` starts with the header, line ``first_line`` of the file; an
+    error names the file line its row starts on, counting the lines of
+    quoted cells that span several.
     ``read_key(cell, keys_so_far)`` returns a row's key or raises
     ValueError; the first bad cell raises DataFileError naming its place.
     """
@@ -182,7 +184,10 @@ def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
 
     keys = []
     rows = []
-    for line_no, row in enumerate(reader, start=first_line + 1):
+    # a row starts one line past the last line the reader consumed; records
+    # are not counted, as a quoted cell may span lines
+    line_no = reader.line_num + first_line
+    for row in reader:
         if len(row) != len(header):
             raise DataFileError(
                 f"{path}, line {line_no}: expected {len(header)} cells, got {len(row)}"
@@ -211,6 +216,7 @@ def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
                 )
             values.append(value)
         rows.append(values)
+        line_no = reader.line_num + first_line
     if not rows:
         raise DataFileError(f"{path}: no data rows")
     return keys, names, np.asarray(rows, dtype=float).T
@@ -305,8 +311,9 @@ def write_wealth_csv(wealth_path, path, metadata):
     with _open_out(path) as handle:
         _write_metadata(handle, metadata)
         handle.write("day,wealth\n")
-        for day, value in enumerate(wealth_path):
-            handle.write(f"{day},{_fmt(float(value))}\n")
+        handle.write(
+            "".join(f"{day},{_fmt(float(value))}\n" for day, value in enumerate(wealth_path))
+        )
 
 
 def write_weights_csv(history, asset_names, path, metadata):
@@ -320,6 +327,9 @@ def write_weights_csv(history, asset_names, path, metadata):
         _write_metadata(handle, metadata)
         # quoted as needed, so any name the returns header held reads back
         csv.writer(handle, lineterminator="\n").writerow(["period", *asset_names])
-        for period, weights in enumerate(history, start=1):
-            cells = ",".join(_fmt(float(w)) for w in weights)
-            handle.write(f"{period},{cells}\n")
+        handle.write(
+            "".join(
+                f"{period},{','.join(_fmt(float(w)) for w in weights)}\n"
+                for period, weights in enumerate(history, start=1)
+            )
+        )

@@ -10,6 +10,8 @@ Covers:
   of the returns, for every strategy
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,83 @@ def test_drift_mode_ruin_mid_span_ends_the_series():
     assert report.ruined
     np.testing.assert_allclose(report.wealth_path, (1.0, 1.05, -0.6), rtol=1e-13)
     assert report.mean_return == pytest.approx(np.mean([0.05, -1.65 / 1.05]), rel=1e-13)
+
+
+def _per_day_drift_returns(returns, weights_history, schedule):
+    """The drift accounting as one Python iteration per held day: the
+    holdings are renormalized by each day's portfolio return."""
+    spans = schedule.spans()
+    holding_spans = [(weights_history[i],) + spans[i + 1] for i in range(len(spans) - 1)]
+    if returns.shape[1] > schedule.total_observations:
+        holding_spans.append(
+            (weights_history[-1], schedule.total_observations, returns.shape[1])
+        )
+    day_returns = []
+    for weights, start, end in holding_spans:
+        held = np.asarray(weights, dtype=float).copy()
+        for t in range(start, end):
+            y = returns[:, t]
+            r = float(held @ y)
+            day_returns.append(r)
+            if 1.0 + r <= 0.0:
+                return np.asarray(day_returns)  # ruin: holdings are gone
+            held = held * (1.0 + y) / (1.0 + r)
+    return np.asarray(day_returns)
+
+
+def test_drift_mode_matches_per_day_loop_over_a_long_series():
+    """40 holding spans (39 windows and a tail) of a 10,000-day series."""
+    p = 25
+    returns = _daily_returns(p, 10_000, seed=61)
+    schedule = RebalanceSchedule.uniform(245, 40)  # 200 days are left over
+    rng = np.random.default_rng(62)
+    history = [w / w.sum() for w in rng.uniform(-0.5, 1.5, (40, p))]
+    assert min(w.min() for w in history) < 0.0
+    day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    reference = _per_day_drift_returns(returns, history, schedule)
+    assert day_returns.shape == reference.shape == (10_000 - 245,)
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
+
+
+def test_drift_mode_holds_the_uninvested_remainder_as_cash():
+    p = 6
+    returns = _daily_returns(p, 90, seed=63, scale=0.03)
+    schedule = RebalanceSchedule((20, 25, 30))  # 15 days are left over
+    rng = np.random.default_rng(64)
+    history = [0.6 * w / w.sum() for w in rng.uniform(0.1, 1.0, (2, p))]
+    history.append(rng.uniform(-0.4, 0.8, p))
+    assert all(abs(w.sum() - 1.0) > 0.1 for w in history)
+    day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    np.testing.assert_allclose(
+        day_returns, _per_day_drift_returns(returns, history, schedule), rtol=1e-12, atol=1e-15
+    )
+
+
+def test_drift_mode_ruin_in_a_non_final_span_ends_on_the_ruin_day():
+    p = 4
+    returns = _daily_returns(p, 60, seed=65, scale=0.02)
+    schedule = RebalanceSchedule((10, 15, 15))  # holding spans 10-25, 25-40, 40-60
+    history = [np.full(p, 0.25), np.array([1.0, 0.0, 0.0, 0.0]), np.full(p, 0.25)]
+    returns[0, 31] = -1.0  # the only held asset is wiped out inside span two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # later days divide by zero wealth
+        day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    reference = _per_day_drift_returns(returns, history, schedule)
+    assert day_returns.shape == reference.shape == (31 - 10 + 1,)
+    assert day_returns[-1] == -1.0
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
+
+
+def test_drift_mode_zero_weight_ignores_an_asset_whose_gross_return_overflows():
+    returns = np.vstack([np.full(400, 0.001), np.full(400, 99.0)])  # 100**155 overflows
+    history = [np.array([1.0, 0.0])] * 2
+    schedule = RebalanceSchedule((10, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+    np.testing.assert_allclose(
+        day_returns, _per_day_drift_returns(returns, history, schedule), rtol=1e-12, atol=1e-15
+    )
 
 
 def test_ruin_truncates_moments():

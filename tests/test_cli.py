@@ -260,6 +260,25 @@ def test_backtest_price_levels_are_data_error(tmp_path, capsys):
     assert "prices rather than returns" in err
 
 
+@pytest.mark.parametrize("drift", [[], ["--drift"]])
+def test_backtest_price_file_is_refused_before_any_backtest(tmp_path, capsys, drift):
+    """Under --drift this price file is wiped out by a -102.6 day return
+    before its wealth overflows, so only a check on the data refuses it."""
+    rng = np.random.default_rng(0)
+    rng.standard_normal((5, 600))
+    steps = 1.0 + 0.01 * rng.standard_normal((5, 600))
+    csv_path = _write_table(tmp_path / "r.csv", 100.0 * np.cumprod(steps, axis=1))
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "1", "--n", "100", "--seed", "1"]
+        + drift
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gmvshrink: data error: {csv_path}, column 'a0':")
+    assert "the cells may be prices rather than returns" in captured.err
+
+
 @pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "7"])
 def test_backtest_duplicated_asset_is_numerical_error(tmp_path, capsys, strategy):
     data = 0.01 * np.random.default_rng(43).standard_normal((5, 600))

@@ -20,6 +20,7 @@ from gmvshrink.dataio import (
     config_hash,
     read_external_weights,
     read_returns_csv,
+    write_wealth_csv,
     write_weights_csv,
 )
 
@@ -95,6 +96,13 @@ def test_read_returns_rejects_non_finite_cell(tmp_path):
 def test_read_returns_rejects_empty_table(tmp_path):
     with pytest.raises(DataFileError, match="no data rows"):
         read_returns_csv(_write(tmp_path, "date,aaa\n"))
+
+
+def test_read_returns_counts_file_lines_of_a_quoted_multi_line_cell(tmp_path):
+    """The header spans lines 1-2, so the repeated date is on line 4."""
+    text = 'date,"a\nb",c\n2021-01-01,0.1,0.2\n2021-01-01,0.1,0.2\n'
+    with pytest.raises(DataFileError, match="line 4, column 'date': dates must be strictly"):
+        read_returns_csv(_write(tmp_path, text))
 
 
 #: replacements for one value cell; the strict parser accepts some of them
@@ -280,6 +288,36 @@ def test_external_weights_reader_requires_periods_in_order(tmp_path):
     path = _write(tmp_path, "# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
     with pytest.raises(DataFileError, match="line 5, column 'period': expected period 2, got '3'"):
         read_external_weights(str(path))
+
+
+def test_external_weights_reader_counts_comment_and_multi_line_header_lines(tmp_path):
+    # comments on lines 1-2, header on lines 3-4, period rows on lines 5-6
+    text = '# a: 1\n# b: 2\nperiod,"x\ny",z\n1,0.5,0.5\n2,0.5,oops\n'
+    path = _write(tmp_path, text, name="w.csv")
+    with pytest.raises(DataFileError, match="line 6, column 'z': not a number: 'oops'"):
+        read_external_weights(str(path))
+
+
+# ---------------------------------------------------------------------------
+# writers
+# ---------------------------------------------------------------------------
+
+
+def test_wealth_and_weights_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "wealth.csv"
+    wealth = (1.0, 1.0125, np.float64(0.98765432109876), 1e-13, -0.5)
+    write_wealth_csv(wealth, str(path), {"command": "backtest", "n": "5"})
+    assert path.read_bytes() == (
+        b"# command: backtest\n# n: 5\n# config-hash: 6198797daef1\nday,wealth\n"
+        b"0,1\n1,1.0125\n2,0.987654321099\n3,1e-13\n4,-0.5\n"
+    )
+    path = tmp_path / "weights.csv"
+    history = [np.array([0.6, 0.4, 0.0]), np.array([-0.125, 1 / 3, 0.7916666666666667])]
+    write_weights_csv(history, ["x", "y,z", "w"], str(path), {"command": "weights"})
+    assert path.read_bytes() == (
+        b"# command: weights\n# config-hash: 11ed24d32029\nperiod,x,\"y,z\",w\n"
+        b"1,0.6,0.4,0\n2,-0.125,0.333333333333,0.791666666667\n"
+    )
 
 
 # ---------------------------------------------------------------------------
