@@ -158,18 +158,20 @@ def _strategy_arg(args):
 def _refuse_price_levels(path, names, returns):
     """Raise DataFileError for an asset column that reads as price levels.
 
-    A column is flagged when every cell is positive and its typical
+    A column is flagged when every cell is positive and its mean
     day-to-day move is nonzero but under a tenth of its typical level:
-    ``0 < median|diff| < 0.1 * median``. The rule compares each column
-    with its own level, so it does not depend on the units of the cells.
-    A constant column passes and is left to the singular-covariance check.
+    ``0 < mean|diff| < 0.1 * median``. The mean, unlike the median, still
+    sees a stale price column that moves on only some days. The rule
+    compares each column with its own level, so it does not depend on the
+    units of the cells. A constant column passes and is left to the
+    singular-covariance check.
     """
     for i in np.flatnonzero((returns > 0.0).all(axis=1)):
         level = np.median(returns[i])
-        step = np.median(np.abs(np.diff(returns[i]))) if returns.shape[1] > 1 else 0.0
+        step = np.abs(np.diff(returns[i])).mean() if returns.shape[1] > 1 else 0.0
         if 0.0 < step < 0.1 * level:
             raise DataFileError(
-                f"{path}, column {names[i]!r}: every cell is positive and the median "
+                f"{path}, column {names[i]!r}: every cell is positive and the mean "
                 f"day-to-day change ({step:.6g}) is under a tenth of the median cell "
                 f"({level:.6g}); the cells may be prices rather than returns"
             )

@@ -23,6 +23,17 @@ Scenarios
 ``varma``
     A diagonal first-order vector autoregression initialized from its
     stationary distribution.
+
+Both time-series scenarios run one day at a time, elementwise over the
+assets and in this evaluation order:
+
+- GARCH: ``h = (ω + α·(e·e)) + β·h``, then ``e = sqrt(h)·z``, where ``e`` is
+  the previous day's centered return and ``z`` the day's correlated shock;
+  the day's return is ``μ + e``.
+- VARMA: ``x = (μ + a·x) + ε``, with ``ε`` the day's innovation.
+
+Generated blocks are bit-identical across implementations of these loops
+only while that order is kept; floating-point addition is not associative.
 """
 
 from __future__ import annotations
@@ -196,31 +207,57 @@ def generate(pop, scenario, n, rng, standardize_t=True):
         )
 
     if scenario == "ccc_garch":
-        total = GARCH_BURN_IN + n
-        shocks = pop.corr_sqrt @ rng.standard_normal((p, total))
-        out = np.empty((p, total))
-        h = np.diag(pop.cov).copy()  # unconditional per-asset variance
-        centered_prev = np.sqrt(h) * shocks[:, 0]
-        out[:, 0] = pop.mean + centered_prev
-        for t in range(1, total):
-            h = (
-                pop.garch_intercepts
-                + pop.arch_coeffs * centered_prev**2
-                + pop.persist_coeffs * h
-            )
-            centered_prev = np.sqrt(h) * shocks[:, t]
-            out[:, t] = pop.mean + centered_prev
-        return out[:, GARCH_BURN_IN:]
+        # day-major shocks: one contiguous row per day
+        shocks = (pop.corr_sqrt @ rng.standard_normal((p, GARCH_BURN_IN + n))).T.copy()
+        centered = _garch_centered(
+            shocks,
+            np.diag(pop.cov),  # unconditional per-asset variance
+            pop.garch_intercepts,
+            pop.arch_coeffs,
+            pop.persist_coeffs,
+        )
+        return np.add(pop.mean[:, None], centered[GARCH_BURN_IN:].T, out=np.empty((p, n)))
 
     # varma: diagonal AR(1) with innovation covariance equal to pop.cov.
-    innovations = pop.sqrt_cov @ rng.standard_normal((p, n))
-    out = np.empty((p, n))
+    innovations = (pop.sqrt_cov @ rng.standard_normal((p, n))).T.copy()
     stationary_mean = pop.mean / (1.0 - pop.ar_coeffs)
     prev = stationary_mean + pop.stationary_sqrt @ rng.standard_normal(p)
-    for t in range(n):
-        prev = pop.mean + pop.ar_coeffs * prev + innovations[:, t]
-        out[:, t] = prev
-    return out
+    multiply, add = np.multiply, np.add
+    work = np.empty(p)
+    for x in innovations:  # x becomes the day's value in place
+        multiply(pop.ar_coeffs, prev, work)
+        add(pop.mean, work, work)
+        add(work, x, x)
+        prev = x
+    return innovations.T.copy()
+
+
+def _garch_centered(shocks, variance, intercepts, arch, persist):
+    """Turn day-major GARCH(1,1) shocks into centered returns, in place.
+
+    ``shocks`` has shape ``(days, ..., p)``, one row per day; ``variance``
+    (the first day's conditional variance) and the coefficients broadcast
+    against a row. Row ``t`` ends as ``e_t = sqrt(h_t)·z_t`` with ``h_0`` the
+    given variance and ``h_t = (ω + α·(e·e)) + β·h_{t-1}``, ``e`` the previous
+    row's result. Every day is seven in-place ufunc calls evaluated in that
+    order, so the result is bit-identical to the written expressions.
+    """
+    multiply, add, sqrt = np.multiply, np.add, np.sqrt
+    h = np.array(np.broadcast_to(variance, shocks.shape[1:]))
+    work = np.empty_like(h)
+    sqrt(h, work)
+    prev = shocks[0]
+    multiply(work, prev, prev)
+    for z in shocks[1:]:
+        multiply(prev, prev, work)
+        multiply(arch, work, work)
+        add(intercepts, work, work)
+        multiply(persist, h, h)
+        add(work, h, h)
+        sqrt(h, work)
+        multiply(work, z, z)
+        prev = z
+    return shocks
 
 
 class LossRow(NamedTuple):

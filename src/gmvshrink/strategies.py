@@ -82,7 +82,7 @@ def weight_sequence(blocks, strategy, target):
             p, n = block.shape
             if n <= p + 1:
                 raise InsufficientSampleError(
-                    f"sample minimum-variance weights need n > p + 1, got p={p}, n={n}"
+                    f"estimation windows need n > p + 1, got p={p}, n={n}"
                 )
             yield sample_gmv_weights(block)
     elif strategy == 6:

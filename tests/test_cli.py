@@ -279,6 +279,28 @@ def test_backtest_price_file_is_refused_before_any_backtest(tmp_path, capsys, dr
     assert "the cells may be prices rather than returns" in captured.err
 
 
+@pytest.mark.parametrize("drift", [[], ["--drift"]])
+def test_backtest_stale_price_column_is_refused(tmp_path, capsys, drift):
+    """A price column that moves on about one day in three has a median
+    day-to-day change of 0; its mean change still flags it."""
+    rng = np.random.default_rng(3)
+    data = 0.01 * rng.standard_normal((5, 600))
+    moves = rng.random(600) < 1 / 3
+    steps = np.where(moves, 1.0 + 0.01 * rng.standard_normal(600), 1.0)
+    data[4] = 100.0 * np.cumprod(steps)
+    assert np.median(np.abs(np.diff(data[4]))) == 0.0
+    csv_path = _write_table(tmp_path / "r.csv", data)
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "1", "--n", "100", "--seed", "1"]
+        + drift
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gmvshrink: data error: {csv_path}, column 'a4':")
+    assert "the cells may be prices rather than returns" in captured.err
+
+
 @pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "7"])
 def test_backtest_duplicated_asset_is_numerical_error(tmp_path, capsys, strategy):
     data = 0.01 * np.random.default_rng(43).standard_normal((5, 600))
@@ -312,6 +334,45 @@ def test_backtest_window_too_short_for_estimation(tmp_path, capsys):
     )
     assert rc == 3
     assert capsys.readouterr().err.startswith("gmvshrink: data error:")
+
+
+@pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "6", "7"])
+def test_backtest_smallest_estimation_window(tmp_path, capsys, strategy):
+    """p = 5 assets: n = p + 2 is the shortest window every strategy runs on;
+    at n = p + 1 only holding the target does not estimate."""
+    csv_path = _write_returns(tmp_path / "r.csv", p=5, days=70, seed=53)
+    argv = ["backtest", "--input", str(csv_path), "--strategy", strategy, "--seed", "1"]
+    assert main(argv + ["--n", "7"]) == 0
+    capsys.readouterr()
+    rc = main(argv + ["--n", "6"])
+    captured = capsys.readouterr()
+    if strategy == "6":
+        assert rc == 0
+    else:
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "gmvshrink: data error: estimation windows need n > p + 1, got p=5, n=6\n"
+        )
+
+
+@pytest.mark.parametrize("strategies", ["1,2,3,4,5,6,7", "5,6", "7", "6"])
+def test_simulate_smallest_estimation_window(capsys, strategies):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "5", "--n", "6", "--T", "2",
+            "--reps", "2", "--strategies", strategies, "--seed", "1",
+        ]
+    )
+    captured = capsys.readouterr()
+    if strategies == "6":
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "gmvshrink: config error: estimation windows need n > p + 1, got p=5, n=6"
+        )
 
 
 def test_backtest_series_shorter_than_one_window(tmp_path, capsys):

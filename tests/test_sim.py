@@ -155,6 +155,86 @@ def test_generate_validation():
 
 
 # ---------------------------------------------------------------------------
+# time-series generators against their per-step references
+# ---------------------------------------------------------------------------
+
+
+def _per_step_garch(pop, n, rng):
+    """Column-at-a-time GARCH(1,1) loop: the reference for ``ccc_garch``."""
+    p = pop.n_assets
+    total = sim.GARCH_BURN_IN + n
+    shocks = pop.corr_sqrt @ rng.standard_normal((p, total))
+    out = np.empty((p, total))
+    h = np.diag(pop.cov).copy()
+    centered_prev = np.sqrt(h) * shocks[:, 0]
+    out[:, 0] = pop.mean + centered_prev
+    for t in range(1, total):
+        h = (
+            pop.garch_intercepts
+            + pop.arch_coeffs * centered_prev**2
+            + pop.persist_coeffs * h
+        )
+        centered_prev = np.sqrt(h) * shocks[:, t]
+        out[:, t] = pop.mean + centered_prev
+    return out[:, sim.GARCH_BURN_IN:]
+
+
+def _per_step_varma(pop, n, rng):
+    """Column-at-a-time diagonal AR(1) loop: the reference for ``varma``."""
+    p = pop.n_assets
+    innovations = pop.sqrt_cov @ rng.standard_normal((p, n))
+    out = np.empty((p, n))
+    stationary_mean = pop.mean / (1.0 - pop.ar_coeffs)
+    prev = stationary_mean + pop.stationary_sqrt @ rng.standard_normal(p)
+    for t in range(n):
+        prev = pop.mean + pop.ar_coeffs * prev + innovations[:, t]
+        out[:, t] = prev
+    return out
+
+
+_PER_STEP = {"ccc_garch": _per_step_garch, "varma": _per_step_varma}
+
+
+@pytest.mark.parametrize("scenario", sorted(_PER_STEP))
+@pytest.mark.parametrize("p", [5, 7, 90])
+def test_generate_is_bit_identical_to_per_step_reference(scenario, p):
+    pop = build_population(p, seed=p)
+    for n in (1, 2, 100, 3000):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            reference_rng = np.random.default_rng(seed)
+            block = generate(pop, scenario, n, rng)
+            expected = _PER_STEP[scenario](pop, n, reference_rng)
+            assert block.shape == (p, n)
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, expected), (scenario, p, n, seed)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_garch_recursion_runs_stacked_blocks_as_one_state():
+    """Shocks shaped (days, blocks, p) give each block its own path."""
+    pop = build_population(7, seed=3)
+    args = (np.diag(pop.cov), pop.garch_intercepts, pop.arch_coeffs, pop.persist_coeffs)
+    shocks = np.random.default_rng(5).standard_normal((40, 3, 7))
+    stacked = sim._garch_centered(shocks.copy(), *args)
+    for b in range(3):
+        single = sim._garch_centered(shocks[:, b].copy(), *args)
+        assert np.array_equal(stacked[:, b], single)
+
+
+@pytest.mark.parametrize("scenario", sorted(_PER_STEP))
+def test_run_experiment_rows_match_per_step_generator(monkeypatch, scenario):
+    config = _small_config(scenario=scenario, strategies=(1, 2, 5, 7))
+    rows = run_experiment(config).rows
+
+    def per_step_generate(pop, scenario, n, rng, standardize_t=True):
+        return _PER_STEP[scenario](pop, n, rng)
+
+    monkeypatch.setattr(sim, "generate", per_step_generate)
+    assert run_experiment(config).rows == rows
+
+
+# ---------------------------------------------------------------------------
 # experiment loop
 # ---------------------------------------------------------------------------
 
