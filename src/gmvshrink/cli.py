@@ -158,18 +158,20 @@ def _strategy_arg(args):
 def _refuse_price_levels(path, names, returns):
     """Raise DataFileError for an asset column that reads as price levels.
 
-    A column is flagged when every cell is positive and its mean
-    day-to-day move is nonzero but under a tenth of its typical level:
-    ``0 < mean|diff| < 0.1 * median``. The mean, unlike the median, still
-    sees a stale price column that moves on only some days. The rule
-    compares each column with its own level, so it does not depend on the
-    units of the cells. A constant column passes and is left to the
-    singular-covariance check.
+    A column is flagged when every cell is positive, its median cell is
+    level-sized (above 0.5, which as a daily return would be +50% on a
+    typical day) and its mean day-to-day move is nonzero but under a
+    tenth of that median: ``0 < mean|diff| < 0.1 * median``. The mean,
+    unlike the median, still sees a stale price column that moves on only
+    some days. The level bound lets through a cash-like returns column,
+    such as a bill yield accrued daily, whose cells are positive and
+    barely change; prices quoted below 0.5 pass too. A constant column
+    passes and is left to the singular-covariance check.
     """
     for i in np.flatnonzero((returns > 0.0).all(axis=1)):
         level = np.median(returns[i])
         step = np.abs(np.diff(returns[i])).mean() if returns.shape[1] > 1 else 0.0
-        if 0.0 < step < 0.1 * level:
+        if level > 0.5 and 0.0 < step < 0.1 * level:
             raise DataFileError(
                 f"{path}, column {names[i]!r}: every cell is positive and the mean "
                 f"day-to-day change ({step:.6g}) is under a tenth of the median cell "

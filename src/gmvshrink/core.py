@@ -207,17 +207,20 @@ def portfolio_variance(weights, cov):
     return float(w @ cov @ w)
 
 
-def relative_loss(weights, eval_cov):
+def relative_loss(weights, eval_cov, ones_form=None):
     """Relative out-of-sample variance loss of ``weights`` under ``eval_cov``.
 
     Returns ``1' cov^{-1} 1 * w' cov w - 1``, the excess of the portfolio's
     true variance over the minimum attainable variance as a fraction of the
     latter. Nonnegative for every fully invested portfolio, up to solver
-    tolerance.
+    tolerance. ``ones_form``, when given, is ``precision_ones_form(eval_cov)``
+    computed once by a caller that scores many portfolios under the same
+    covariance; otherwise it is computed here.
     """
     eval_cov = np.asarray(eval_cov, dtype=np.float64)
-    qf = precision_ones_form(eval_cov)
-    return qf * portfolio_variance(weights, eval_cov) - 1.0
+    if ones_form is None:
+        ones_form = precision_ones_form(eval_cov)
+    return ones_form * portfolio_variance(weights, eval_cov) - 1.0
 
 
 def estimate_target_loss_from_cov(cov, n_obs, target):

@@ -4,12 +4,17 @@ Input is a returns CSV with a header row, a leading ISO-8601 ``date``
 column and one column per asset; cells are simple returns as decimal
 fractions. Ingestion is strict: a malformed or missing cell fails with
 its file line and column named, never imputed. A well-formed file is
-parsed in bulk (one C-level parse of all value cells); any file the bulk
-path does not fully accept is re-read by the strict row parser, which
+streamed in chunks of ``_CHUNK_LINES`` lines, each checked and parsed by
+one C-level call into a block of rows; the blocks are copied once into
+the result. Ingest therefore holds the result, the parsed blocks and one
+chunk of text at a time: about twice the result plus a fixed amount,
+whatever the length of the file. Any file the bulk path does not fully
+accept is re-read from the start by the strict row parser, which
 locates the error or, for a valid but unusual file, returns the same
 result. The external-weights CSV has the same shape, with ``period`` in
 place of ``date``, and goes through the same strict parser after the
-``#`` comment lines that precede its header.
+``#`` comment lines that precede its header. No path reads a whole file
+into one string.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
@@ -23,8 +28,9 @@ import contextlib
 import csv
 import datetime
 import hashlib
-import io
+import itertools
 import sys
+import warnings
 
 import numpy as np
 
@@ -63,19 +69,22 @@ def read_returns_csv(path):
 
     Checks the header, date format and ordering, cell completeness and
     numeric parsing; any violation raises DataFileError with the file
-    line number and column name.
+    line number and column name. The array is C-contiguous float64.
 
-    A well-formed file is parsed in bulk: the dates one line at a time,
-    the value cells in one ``np.loadtxt`` call. Whatever that path does not
-    fully accept (characters outside printable ASCII, quotes, carriage
-    returns, blank lines, ragged rows, bad cells or dates) is re-read by
-    the strict row parser, which either names the offending cell or
-    returns the same result.
+    A well-formed file is parsed in bulk, ``_CHUNK_LINES`` lines at a
+    time: the dates one line at a time, the value cells of a chunk in one
+    ``np.loadtxt`` call. Whatever that path does not fully accept
+    (characters outside printable ASCII, quotes, carriage returns, blank
+    lines, ragged rows, bad cells or dates) is re-read by the strict row
+    parser, which either names the offending cell or returns the same
+    result.
     """
     with open(path, newline="") as handle:
-        text = handle.read()
-    parsed = _parse_bulk(path, text)
-    return parsed if parsed is not None else _parse_strict(path, text)
+        parsed = _parse_bulk(path, handle)
+        if parsed is None:
+            handle.seek(0)
+            parsed = _parse_strict(path, handle)
+    return parsed
 
 
 def _asset_names(path, header, key="date", line=1):
@@ -101,29 +110,53 @@ def _asset_names(path, header, key="date", line=1):
 #: characters of a plain file: printable ASCII but the quote, and newline
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
+#: lines per chunk of the bulk parser: enough that loadtxt's cost per call
+#: is lost in its cost per cell, few enough that a chunk's text and cells
+#: stay small beside the result
+_CHUNK_LINES = 2048
 
-def _parse_bulk(path, text):
-    """Parse a plain, well-formed returns file, or return None.
+
+def _is_plain(text):
+    """Whether ``text`` holds only the characters of a plain file."""
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
+
+
+def _parse_bulk(path, handle):
+    """Parse a plain, well-formed returns file from ``handle``, or return None.
 
     In a plain file every line splits on bare commas exactly as the csv
     module would split it, and every cell ``np.loadtxt`` reads is one that
     ``float`` reads to the same bits (outside printable ASCII the two
     differ, e.g. on the control characters 0x1C-0x1F that loadtxt strips as
-    whitespace). None hands the text to the strict parser; this path raises
-    only for a bad header, with the strict parser's message.
+    whitespace). The rows are read ``_CHUNK_LINES`` at a time; each chunk
+    is checked whole before the next is read, and the dates must ascend
+    across chunk edges too. None hands the file to the strict parser; this
+    path raises only for a bad header, with the strict parser's message.
     """
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+    head = handle.readline()
+    if not _is_plain(head) or head in ("", "\n"):
         return None
-    head, _, body = text.partition("\n")
-    if not head:
-        return None
-    names = _asset_names(path, head.split(","))
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return None
+    names = _asset_names(path, head.removesuffix("\n").split(","))
     dates = []
+    blocks = []
+    while lines := list(itertools.islice(handle, _CHUNK_LINES)):
+        block = _parse_chunk(lines, len(names), dates)
+        if block is None:
+            return None
+        blocks.append(block)
+    if not blocks:
+        return None
+    return dates, names, _columns(blocks)
+
+
+def _parse_chunk(lines, n_assets, dates):
+    """The ``(len(lines), n_assets)`` values of plain rows, or None.
+
+    Appends each row's date to ``dates``, which holds the dates of every
+    earlier chunk, so the ascending check spans chunk edges.
+    """
+    if not _is_plain("".join(lines)):
+        return None
     cells = []
     for line in lines:
         day, comma, rest = line.partition(",")
@@ -138,13 +171,23 @@ def _parse_bulk(path, text):
         dates.append(date)
         cells.append(rest)
     try:
-        values = np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            # a chunk of empty value texts reads as no data; the row count refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     # loadtxt skips empty lines, so the row count is checked too
-    if values.shape != (len(lines), len(names)) or not np.isfinite(values).all():
+    if values.shape != (len(lines), n_assets) or not np.isfinite(values).all():
         return None
-    return dates, names, values.T
+    return values
+
+
+def _columns(blocks):
+    """One C-contiguous ``p x T`` array from row blocks of shape ``(t, p)``."""
+    out = np.empty((blocks[0].shape[1], sum(len(block) for block in blocks)))
+    np.concatenate(blocks, axis=0, out=out.T)
+    return out
 
 
 def _read_date(cell, dates):
@@ -166,16 +209,17 @@ def _read_period(cell, periods):
     return period
 
 
-def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
+def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
     """Parse a key-column table into ``(keys, asset_names, p x T array)``.
 
-    ``text`` starts with the header, line ``first_line`` of the file; an
-    error names the file line its row starts on, counting the lines of
-    quoted cells that span several.
+    ``lines`` iterates over the table's lines with their endings, as a
+    file opened with ``newline=""`` does; its first line is the header,
+    line ``first_line`` of the file. An error names the file line its row
+    starts on, counting the lines of quoted cells that span several.
     ``read_key(cell, keys_so_far)`` returns a row's key or raises
     ValueError; the first bad cell raises DataFileError naming its place.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -219,7 +263,7 @@ def _parse_strict(path, text, key="date", read_key=_read_date, first_line=1):
         line_no = reader.line_num + first_line
     if not rows:
         raise DataFileError(f"{path}: no data rows")
-    return keys, names, np.asarray(rows, dtype=float).T
+    return keys, names, _columns([np.asarray(rows, dtype=np.float64)])
 
 
 def read_external_weights(path, asset_names=None):
@@ -234,13 +278,15 @@ def read_external_weights(path, asset_names=None):
     asset columns must carry exactly those names in that order.
     """
     with open(path, newline="") as handle:
-        lines = handle.readlines()
-    skip = 0
-    while skip < len(lines) and lines[skip].startswith("#"):
-        skip += 1
-    _, names, values = _parse_strict(
-        path, "".join(lines[skip:]), "period", _read_period, first_line=skip + 1
-    )
+        skip = 0
+        line = handle.readline()
+        while line.startswith("#"):
+            skip += 1
+            line = handle.readline()
+        _, names, values = _parse_strict(
+            path, itertools.chain([line] if line else [], handle), "period", _read_period,
+            first_line=skip + 1,
+        )
     if asset_names is not None:
         if len(names) != len(asset_names):
             raise DataFileError(
@@ -252,7 +298,8 @@ def read_external_weights(path, asset_names=None):
                     f"{path}: header column {column} is {got!r}, expected "
                     f"{expected!r} as in the returns file"
                 )
-    return list(values.T)
+    # contiguous vectors: BLAS may sum over a strided one in another order
+    return list(np.ascontiguousarray(values.T))
 
 
 def _write_metadata(handle, metadata):

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SingularityError, precision_ones_form
+from .core import SingularityError, precision_ones_form, relative_loss
 from .strategies import STRATEGY_IDS, weight_sequence
 
 logger = logging.getLogger(__name__)
@@ -363,9 +363,7 @@ def run_experiment(config):
                 for i, weights in enumerate(
                     weight_sequence(blocks, strategy, target)
                 ):
-                    losses[strategy][rep, i] = (
-                        ones_form * float(weights @ eval_cov @ weights) - 1.0
-                    )
+                    losses[strategy][rep, i] = relative_loss(weights, eval_cov, ones_form)
             except SingularityError as exc:
                 losses[strategy][rep, :] = np.nan
                 failures[strategy] += 1

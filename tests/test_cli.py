@@ -230,7 +230,8 @@ def test_quoted_crlf_file_gives_identical_output(tmp_path, capsys, command):
             lines = csv_path.read_text().splitlines()
             quoted = "".join(",".join(f'"{c}"' for c in ln.split(",")) + "\r\n" for ln in lines)
             csv_path.write_bytes(quoted.encode())
-            assert _parse_bulk(str(csv_path), quoted) is None
+            with open(csv_path, newline="") as handle:
+                assert _parse_bulk(str(csv_path), handle) is None
         assert main(argv) == 0
         wealth = (tmp_path / "wealth.csv").read_bytes() if command == "backtest" else b""
         outputs.append((capsys.readouterr().out, wealth))
@@ -299,6 +300,24 @@ def test_backtest_stale_price_column_is_refused(tmp_path, capsys, drift):
     assert captured.out == ""
     assert captured.err.startswith(f"gmvshrink: data error: {csv_path}, column 'a4':")
     assert "the cells may be prices rather than returns" in captured.err
+
+
+@pytest.mark.parametrize("drift", [[], ["--drift"]])
+def test_backtest_cash_like_column_is_not_refused_as_prices(tmp_path, capsys, drift):
+    """A bill yield accrued daily is positive on every day and barely moves,
+    but its cells are returns-sized, far below any price level."""
+    rng = np.random.default_rng(3)
+    data = 0.01 * rng.standard_normal((5, 600))
+    data[4] = (0.05 + np.cumsum(0.0002 * rng.standard_normal(600))) / 252
+    assert (data[4] > 0.0).all()
+    csv_path = _write_table(tmp_path / "r.csv", data)
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "1", "--n", "100", "--seed", "1"]
+        + drift
+    )
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "ruined: false" in captured.out
 
 
 @pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "7"])

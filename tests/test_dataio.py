@@ -2,18 +2,22 @@
 
 Covers:
 - strict returns-CSV validation with located error messages
-- the bulk returns parser agreeing with the strict row parser
+- the bulk returns parser agreeing with the strict row parser, also on
+  chunk edges, and its working set
 - the external-weights reader and its round trip with the writer
 - metadata hashing determinism
 """
 
+import tracemalloc
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gmvshrink import dataio
 from gmvshrink.dataio import (
     DataFileError,
     _parse_strict,
@@ -189,23 +193,49 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
         rows.append([day.isoformat()] + [style.format(v) for v in row[:p]])
     path = tmp_path_factory.mktemp("equiv") / "r.csv"
     path.write_bytes(_mutated_text(rows, mutations).encode("utf-8"))
-    with open(path, newline="") as handle:
-        text = handle.read()
 
     try:
-        expected = _parse_strict(path, text)
+        with open(path, newline="") as handle:
+            expected = _parse_strict(path, handle)
     except DataFileError as exc:
-        with pytest.raises(DataFileError) as info:
-            read_returns_csv(path)
-        assert str(info.value) == str(exc)
-        return
-    dates, names, got = read_returns_csv(path)
-    assert dates == expected[0]
-    assert names == expected[1]
-    assert got.dtype == expected[2].dtype == np.float64
-    assert got.shape == expected[2].shape
-    assert got.strides == expected[2].strides
-    assert got.tobytes(order="A") == expected[2].tobytes(order="A")
+        expected = exc
+    # chunks of one and two lines put every mutation on a chunk edge
+    for chunk_lines in (dataio._CHUNK_LINES, 1, 2):
+        with mock.patch.object(dataio, "_CHUNK_LINES", chunk_lines):
+            if isinstance(expected, DataFileError):
+                with pytest.raises(DataFileError) as info:
+                    read_returns_csv(path)
+                assert str(info.value) == str(expected)
+                continue
+            dates, names, got = read_returns_csv(path)
+        assert dates == expected[0]
+        assert names == expected[1]
+        assert got.dtype == expected[2].dtype == np.float64
+        assert got.shape == expected[2].shape
+        assert got.strides == expected[2].strides
+        assert got.tobytes(order="A") == expected[2].tobytes(order="A")
+
+
+def test_read_returns_working_set_stays_near_the_result(tmp_path):
+    """Ingest holds the result, its parsed row blocks and one chunk of
+    text, not the whole file's text, lines and cells at once."""
+    values = 0.01 * np.random.default_rng(5).standard_normal((20_000, 25))
+    path = tmp_path / "r.csv"
+    day = date(2000, 1, 3)
+    with open(path, "w") as handle:
+        handle.write("date," + ",".join(f"a{j}" for j in range(25)) + "\n")
+        for i, row in enumerate(values.tolist()):
+            cells = ",".join(["%.8f" % v for v in row])
+            handle.write(f"{(day + timedelta(days=i)).isoformat()},{cells}\n")
+    tracemalloc.start()
+    try:
+        _, _, got = read_returns_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (25, 20_000)
+    assert got.flags["C_CONTIGUOUS"]
+    assert peak < 3 * got.nbytes
 
 
 # ---------------------------------------------------------------------------
