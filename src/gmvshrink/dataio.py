@@ -3,15 +3,17 @@
 Input is a returns CSV with a header row, a leading ISO-8601 ``date``
 column and one column per asset; cells are simple returns as decimal
 fractions. Ingestion is strict: a malformed or missing cell fails with
-its file line and column named, never imputed. A well-formed file is
-streamed in chunks of ``_CHUNK_LINES`` lines, each checked and parsed by
-one C-level call into a block of rows; the blocks are copied once into
-the result. Ingest therefore holds the result, the parsed blocks and one
-chunk of text at a time: about twice the result plus a fixed amount,
-whatever the length of the file. Any file the bulk path does not fully
-accept is re-read from the start by the strict row parser, which
-locates the error or, for a valid but unusual file, returns the same
-result. The external-weights CSV has the same shape, with ``period`` in
+its file line and column named, never imputed. A well-formed file with
+LF or CRLF line ends and no quotes is read in binary chunks of whole
+lines, about ``_CHUNK_BYTES`` bytes each, into a result preallocated from
+a count of its lines; each chunk is checked and parsed by a few C-level
+calls and written straight into the result. Ingest therefore holds the
+result plus one chunk, whatever the width or length of the file. Any file
+the bulk path does not fully accept (a quoted cell, for one) is re-read
+from the start by the strict row parser, which locates the error or, for
+a valid but unusual file, returns the same result; it packs its rows into
+float64 blocks every ``_STRICT_ROWS`` rows and joins the blocks at the
+end. The external-weights CSV has the same shape, with ``period`` in
 place of ``date``, and goes through the same strict parser after the
 ``#`` comment lines that precede its header. No path reads a whole file
 into one string.
@@ -29,6 +31,7 @@ import csv
 import datetime
 import hashlib
 import itertools
+import operator
 import sys
 import warnings
 
@@ -71,18 +74,18 @@ def read_returns_csv(path):
     numeric parsing; any violation raises DataFileError with the file
     line number and column name. The array is C-contiguous float64.
 
-    A well-formed file is parsed in bulk, ``_CHUNK_LINES`` lines at a
-    time: the dates one line at a time, the value cells of a chunk in one
-    ``np.loadtxt`` call. Whatever that path does not fully accept
-    (characters outside printable ASCII, quotes, carriage returns, blank
-    lines, ragged rows, bad cells or dates) is re-read by the strict row
-    parser, which either names the offending cell or returns the same
-    result.
+    A well-formed file is parsed in bulk from a binary handle, in chunks
+    of about ``_CHUNK_BYTES`` bytes of whole lines written straight into
+    the result. Whatever that path does not fully accept (characters
+    outside printable ASCII, quotes, a carriage return not ending a line,
+    blank lines, ragged rows, bad cells or dates) is re-read in text mode
+    by the strict row parser, which either names the offending cell or
+    returns the same result.
     """
-    with open(path, newline="") as handle:
+    with open(path, "rb") as handle:
         parsed = _parse_bulk(path, handle)
-        if parsed is None:
-            handle.seek(0)
+    if parsed is None:
+        with open(path, newline="") as handle:
             parsed = _parse_strict(path, handle)
     return parsed
 
@@ -107,69 +110,94 @@ def _asset_names(path, header, key="date", line=1):
     return names
 
 
-#: characters of a plain file: printable ASCII but the quote, and newline
-_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+#: bytes of a plain file: printable ASCII but the quote, and the line ends
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 
-#: lines per chunk of the bulk parser: enough that loadtxt's cost per call
-#: is lost in its cost per cell, few enough that a chunk's text and cells
-#: stay small beside the result
-_CHUNK_LINES = 2048
+#: bytes per chunk of the bulk parser (a chunk ends on the line that
+#: reaches it): enough that loadtxt's cost per call is lost in its cost per
+#: cell, few enough that a chunk's text and cells stay small beside the
+#: result at any width
+_CHUNK_BYTES = 64 * 1024
+
+#: rows the strict parser holds as Python floats before packing them into
+#: one float64 block
+_STRICT_ROWS = 256
 
 
 def _is_plain(text):
-    """Whether ``text`` holds only the characters of a plain file."""
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
+    """Whether the bytes ``text`` hold only the characters of a plain file,
+    each carriage return ending a line just before its newline."""
+    return not text.translate(None, _PLAIN) and (
+        b"\r" not in text or text.count(b"\r") == text.count(b"\r\n")
+    )
+
+
+def _count_rows(handle):
+    """Lines after the header of the binary ``handle``, which is rewound."""
+    lines, last = 0, b"\n"
+    while block := handle.read(_CHUNK_BYTES):
+        lines += block.count(b"\n")
+        last = block[-1:]
+    handle.seek(0)
+    # a last line without its newline is a line too
+    return lines + (last != b"\n") - 1
 
 
 def _parse_bulk(path, handle):
-    """Parse a plain, well-formed returns file from ``handle``, or return None.
+    """Parse a plain, well-formed returns file from binary ``handle``, or
+    return None.
 
     In a plain file every line splits on bare commas exactly as the csv
     module would split it, and every cell ``np.loadtxt`` reads is one that
     ``float`` reads to the same bits (outside printable ASCII the two
     differ, e.g. on the control characters 0x1C-0x1F that loadtxt strips as
-    whitespace). The rows are read ``_CHUNK_LINES`` at a time; each chunk
-    is checked whole before the next is read, and the dates must ascend
-    across chunk edges too. None hands the file to the strict parser; this
-    path raises only for a bad header, with the strict parser's message.
+    whitespace). Lines end in LF or CRLF. The rows, counted up front, are
+    read ``_CHUNK_BYTES`` at a time; each chunk is checked whole and
+    written into the preallocated result before the next is read, and the
+    dates must ascend across chunk edges too. None hands the file to the
+    strict parser; this path raises only for a bad header, with the strict
+    parser's message.
     """
+    rows = _count_rows(handle)
     head = handle.readline()
-    if not _is_plain(head) or head in ("", "\n"):
+    if rows < 1 or not _is_plain(head):
         return None
-    names = _asset_names(path, head.removesuffix("\n").split(","))
+    header = head.decode("ascii").removesuffix("\n").removesuffix("\r")
+    if not header:
+        return None
+    names = _asset_names(path, header.split(","))
+    out = np.empty((len(names), rows))
     dates = []
-    blocks = []
-    while lines := list(itertools.islice(handle, _CHUNK_LINES)):
-        block = _parse_chunk(lines, len(names), dates)
-        if block is None:
+    done = 0
+    while lines := handle.readlines(_CHUNK_BYTES):
+        done = _parse_chunk(lines, out, done, dates)
+        if done is None:
             return None
-        blocks.append(block)
-    if not blocks:
+    # the file may have changed since its lines were counted
+    if done != rows:
         return None
-    return dates, names, _columns(blocks)
+    return dates, names, out
 
 
-def _parse_chunk(lines, n_assets, dates):
-    """The ``(len(lines), n_assets)`` values of plain rows, or None.
+def _parse_chunk(lines, out, start, dates):
+    """Write plain rows into columns ``start:`` of ``out``; the next free
+    column, or None.
 
     Appends each row's date to ``dates``, which holds the dates of every
     earlier chunk, so the ascending check spans chunk edges.
     """
-    if not _is_plain("".join(lines)):
+    if not _is_plain(b"".join(lines)):
         return None
-    cells = []
-    for line in lines:
-        day, comma, rest = line.partition(",")
-        if not comma:
-            return None
-        try:
-            date = datetime.date.fromisoformat(day)
-        except ValueError:
-            return None
-        if dates and date <= dates[-1]:
-            return None
-        dates.append(date)
-        cells.append(rest)
+    days, commas, cells = zip(*[line.partition(b",") for line in lines])
+    if not all(commas):
+        return None
+    try:
+        new = list(map(datetime.date.fromisoformat, b"\n".join(days).decode().split("\n")))
+    except ValueError:
+        return None
+    earlier = dates[-1:] + new
+    if not all(map(operator.lt, earlier, earlier[1:])):
+        return None
     try:
         with warnings.catch_warnings():
             # a chunk of empty value texts reads as no data; the row count refuses it
@@ -177,10 +205,17 @@ def _parse_chunk(lines, n_assets, dates):
             values = np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
+    stop = start + len(lines)
     # loadtxt skips empty lines, so the row count is checked too
-    if values.shape != (len(lines), n_assets) or not np.isfinite(values).all():
+    if (
+        values.shape != (len(lines), len(out))
+        or stop > out.shape[1]
+        or not np.isfinite(values).all()
+    ):
         return None
-    return values
+    out[:, start:stop] = values.T
+    dates.extend(new)
+    return stop
 
 
 def _columns(blocks):
@@ -227,6 +262,7 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
     names = _asset_names(path, header, key, first_line)
 
     keys = []
+    blocks = []
     rows = []
     # a row starts one line past the last line the reader consumed; records
     # are not counted, as a quoted cell may span lines
@@ -260,10 +296,15 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
                 )
             values.append(value)
         rows.append(values)
+        if len(rows) == _STRICT_ROWS:
+            blocks.append(np.array(rows, dtype=np.float64))
+            rows = []
         line_no = reader.line_num + first_line
-    if not rows:
+    if rows:
+        blocks.append(np.array(rows, dtype=np.float64))
+    if not blocks:
         raise DataFileError(f"{path}: no data rows")
-    return keys, names, _columns([np.asarray(rows, dtype=np.float64)])
+    return keys, names, _columns(blocks)
 
 
 def read_external_weights(path, asset_names=None):

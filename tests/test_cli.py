@@ -230,7 +230,7 @@ def test_quoted_crlf_file_gives_identical_output(tmp_path, capsys, command):
             lines = csv_path.read_text().splitlines()
             quoted = "".join(",".join(f'"{c}"' for c in ln.split(",")) + "\r\n" for ln in lines)
             csv_path.write_bytes(quoted.encode())
-            with open(csv_path, newline="") as handle:
+            with open(csv_path, "rb") as handle:
                 assert _parse_bulk(str(csv_path), handle) is None
         assert main(argv) == 0
         wealth = (tmp_path / "wealth.csv").read_bytes() if command == "backtest" else b""

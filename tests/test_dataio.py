@@ -3,7 +3,7 @@
 Covers:
 - strict returns-CSV validation with located error messages
 - the bulk returns parser agreeing with the strict row parser, also on
-  chunk edges, and its working set
+  chunk edges and with CRLF line ends, and the working set of both
 - the external-weights reader and its round trip with the writer
 - metadata hashing determinism
 """
@@ -199,9 +199,13 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
             expected = _parse_strict(path, handle)
     except DataFileError as exc:
         expected = exc
-    # chunks of one and two lines put every mutation on a chunk edge
-    for chunk_lines in (dataio._CHUNK_LINES, 1, 2):
-        with mock.patch.object(dataio, "_CHUNK_LINES", chunk_lines):
+    # a chunk ends on the line that reaches its byte bound: one byte gives
+    # one line per chunk, putting every mutation on a chunk edge, and the
+    # longest row's length gives chunks of two lines (or more, where rows
+    # are short beside it)
+    longest = max(map(len, path.read_bytes().splitlines(keepends=True)[1:]), default=1)
+    for chunk_bytes in (dataio._CHUNK_BYTES, 1, longest):
+        with mock.patch.object(dataio, "_CHUNK_BYTES", chunk_bytes):
             if isinstance(expected, DataFileError):
                 with pytest.raises(DataFileError) as info:
                     read_returns_csv(path)
@@ -216,26 +220,110 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
         assert got.tobytes(order="A") == expected[2].tobytes(order="A")
 
 
-def test_read_returns_working_set_stays_near_the_result(tmp_path):
-    """Ingest holds the result, its parsed row blocks and one chunk of
-    text, not the whole file's text, lines and cells at once."""
-    values = 0.01 * np.random.default_rng(5).standard_normal((20_000, 25))
+@pytest.mark.parametrize(
+    "text",
+    [
+        "date,a\rb,c\n2021-01-01,0.1,0.2\n",
+        "date,a,b\n2021-01-01,0.1\r,0.2\n2021-01-02,0.3,0.4\n",
+        "date,a,b\r\n2021-01-01,0.1,0.2\r\r\n2021-01-02,0.3,0.4\r\n",
+    ],
+)
+def test_lone_carriage_return_goes_to_the_strict_parser(tmp_path, text):
+    """A carriage return is a line end to the csv module, so the bulk path
+    admits one only right before a newline."""
     path = tmp_path / "r.csv"
+    path.write_bytes(text.encode())
+    with open(path, "rb") as handle:
+        assert dataio._parse_bulk(str(path), handle) is None
+    try:
+        with open(path, newline="") as handle:
+            expected = _parse_strict(path, handle)
+    except DataFileError as exc:
+        with pytest.raises(DataFileError) as info:
+            read_returns_csv(path)
+        assert str(info.value) == str(exc)
+    else:
+        dates, names, got = read_returns_csv(path)
+        assert (dates, names) == expected[:2]
+        assert got.tobytes() == expected[2].tobytes()
+
+
+def _write_returns_file(path, assets, days, seed=5):
+    """A plain returns file of ``assets`` x ``days`` cells, LF line ends."""
+    values = 0.01 * np.random.default_rng(seed).standard_normal((days, assets))
     day = date(2000, 1, 3)
-    with open(path, "w") as handle:
-        handle.write("date," + ",".join(f"a{j}" for j in range(25)) + "\n")
-        for i, row in enumerate(values.tolist()):
-            cells = ",".join(["%.8f" % v for v in row])
-            handle.write(f"{(day + timedelta(days=i)).isoformat()},{cells}\n")
+    lines = ["date," + ",".join(f"a{j}" for j in range(assets))]
+    for i, row in enumerate(values.tolist()):
+        cells = ",".join(["%.8f" % v for v in row])
+        lines.append(f"{(day + timedelta(days=i)).isoformat()},{cells}")
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    return path
+
+
+def _peak_read(path):
+    """``read_returns_csv(path)`` and the tracemalloc peak of that call."""
     tracemalloc.start()
     try:
-        _, _, got = read_returns_csv(path)
+        parsed = read_returns_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return parsed, peak
+
+
+def test_read_returns_working_set_stays_near_the_result(tmp_path):
+    """Ingest holds the result and one chunk of text, not the whole
+    file's text, lines and cells at once."""
+    (_, _, got), peak = _peak_read(_write_returns_file(tmp_path / "r.csv", 25, 20_000))
     assert got.shape == (25, 20_000)
     assert got.flags["C_CONTIGUOUS"]
     assert peak < 3 * got.nbytes
+
+
+def test_read_returns_working_set_of_a_wide_file(tmp_path):
+    """A chunk is bounded in bytes, so a wide file's chunk stays small
+    beside the result; the result is filled in place, not concatenated."""
+    (_, _, got), peak = _peak_read(_write_returns_file(tmp_path / "r.csv", 200, 2_000))
+    assert got.shape == (200, 2_000)
+    assert got.flags["C_CONTIGUOUS"]
+    assert peak < 1.5 * got.nbytes
+
+
+def test_crlf_file_takes_the_bulk_path(tmp_path):
+    """CRLF line ends read like LF ones, without the strict parser."""
+    lf_path = _write_returns_file(tmp_path / "lf.csv", 25, 10_000)
+    crlf_path = tmp_path / "crlf.csv"
+    crlf_path.write_bytes(lf_path.read_bytes().replace(b"\n", b"\r\n"))
+    with open(crlf_path, "rb") as handle:
+        assert dataio._parse_bulk(str(crlf_path), handle) is not None
+    expected = read_returns_csv(lf_path)
+    with mock.patch.object(dataio, "_parse_strict", side_effect=AssertionError("strict path")):
+        (dates, names, got), peak = _peak_read(crlf_path)
+    assert dates == expected[0]
+    assert names == expected[1]
+    assert got.strides == expected[2].strides
+    assert got.tobytes() == expected[2].tobytes()
+    assert peak < 2 * got.nbytes
+
+
+def test_strict_parser_packs_rows_as_it_reads(tmp_path):
+    """A quoted CRLF file goes to the strict parser, which holds its rows
+    as float64 blocks rather than one list of floats per row."""
+    lf_path = _write_returns_file(tmp_path / "lf.csv", 25, 2_000)
+    quoted_path = tmp_path / "quoted.csv"
+    quoted_path.write_bytes(
+        b"".join(
+            b",".join(b'"' + cell + b'"' for cell in line.split(b",")) + b"\r\n"
+            for line in lf_path.read_bytes().splitlines()
+        )
+    )
+    with open(quoted_path, "rb") as handle:
+        assert dataio._parse_bulk(str(quoted_path), handle) is None
+    expected = read_returns_csv(lf_path)
+    (dates, names, got), peak = _peak_read(quoted_path)
+    assert (dates, names) == expected[:2]
+    assert got.tobytes() == expected[2].tobytes()
+    assert peak < 3.5 * got.nbytes
 
 
 # ---------------------------------------------------------------------------
