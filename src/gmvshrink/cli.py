@@ -105,6 +105,12 @@ def _at_least_one(flag, value):
         raise _ConfigError(f"{flag} must be at least 1, got {value}")
 
 
+def _non_negative_seed(seed):
+    # numpy seeds are non-negative integers of any size
+    if seed < 0:
+        raise _ConfigError(f"--seed must be at least 0, got {seed}")
+
+
 def _parse_strategies(text):
     try:
         ids = tuple(int(part) for part in text.split(","))
@@ -117,6 +123,7 @@ def _parse_strategies(text):
 
 
 def _cmd_simulate(args):
+    _non_negative_seed(args.seed)
     strategies = _parse_strategies(args.strategies)
     if args.reps > DESK_SCALE_REPS and not args.full:
         raise _ConfigError(
@@ -236,6 +243,7 @@ _RMT_TOLERANCES = {
 
 
 def _cmd_check_rmt(args):
+    _non_negative_seed(args.seed)
     _at_least_one("--reps", args.reps)
     with _checking_arguments():
         # the single-window kinds draw only from p, n and form

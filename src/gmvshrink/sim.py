@@ -6,6 +6,12 @@ the requested strategies side by side on the same draws, recording the
 relative out-of-sample loss of every strategy after every rebalancing
 period.
 
+The experiment streams: repetitions run one at a time, and each block is
+fed to every strategy before the next block is drawn. Memory therefore
+holds one repetition's population, the current block and the strategies'
+states, independent of the number of periods and repetitions. The draws,
+and so the results, are those of generating every block up front.
+
 Scenarios
 ---------
 ``t5``
@@ -328,6 +334,67 @@ class LossTable:
         raise KeyError(f"no row for strategy={strategy}, period={period}")
 
 
+class _BlockFeed:
+    """One strategy's view of a repetition's blocks, each handed over once.
+
+    ``weight_sequence`` consumes one block per weight vector it yields, so
+    the feed holds only the block most recently drawn.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self):
+        self.block = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        block, self.block = self.block, None
+        if block is None:
+            raise RuntimeError("strategy asked for a block that has not been drawn")
+        return block
+
+
+def _run_repetition(config, rep, target, losses, failures):
+    """Run repetition ``rep``, filling its row of ``losses`` in place.
+
+    Blocks are drawn in period order and each is fed to every strategy
+    still running before the next is drawn. A strategy whose sequence
+    raises a singularity, when created or at any period, gets NaN for the
+    whole repetition, is counted and logged, and gets no further blocks.
+    """
+    rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
+    pop_seed, data_seed = rep_seq.spawn(2)
+    pop = build_population(config.p, pop_seed)
+    rng = np.random.default_rng(data_seed)
+    eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
+    ones_form = precision_ones_form(eval_cov)
+
+    def fail(strategy, exc):
+        losses[strategy][rep, :] = np.nan
+        failures[strategy] += 1
+        logger.warning("strategy %d failed on rep %d: %s", strategy, rep, exc)
+
+    live = {}
+    for strategy in config.strategies:
+        feed = _BlockFeed()
+        try:
+            live[strategy] = (feed, weight_sequence(feed, strategy, target))
+        except SingularityError as exc:
+            fail(strategy, exc)
+
+    for i in range(config.periods):
+        block = generate(pop, config.scenario, config.n, rng, config.standardize_t)
+        for strategy, (feed, sequence) in list(live.items()):
+            feed.block = block
+            try:
+                losses[strategy][rep, i] = relative_loss(next(sequence), eval_cov, ones_form)
+            except SingularityError as exc:
+                del live[strategy]
+                fail(strategy, exc)
+
+
 def run_experiment(config):
     """Run the Monte Carlo strategy comparison described by ``config``.
 
@@ -337,6 +404,14 @@ def run_experiment(config):
     every period. A repetition that fails with a singularity for some
     strategy is excluded from that strategy's averages and counted, never
     silently dropped.
+
+    Each repetition runs in its own call and feeds every block to all
+    strategies before drawing the next (see :func:`_run_repetition`), so
+    the working set is one repetition's population, the current block and
+    the strategies' states, whatever ``periods`` and ``reps``. When several
+    strategies fail in one repetition, their warnings are logged in the
+    order of the periods at which they failed, in strategy order only
+    within one period.
     """
     config.validate()
     strategies = tuple(config.strategies)
@@ -347,29 +422,7 @@ def run_experiment(config):
     target = np.full(config.p, 1.0 / config.p)
 
     for rep in range(config.reps):
-        rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
-        pop_seed, data_seed = rep_seq.spawn(2)
-        pop = build_population(config.p, pop_seed)
-        rng = np.random.default_rng(data_seed)
-        blocks = [
-            generate(pop, config.scenario, config.n, rng, config.standardize_t)
-            for _ in range(periods)
-        ]
-        eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
-        ones_form = precision_ones_form(eval_cov)
-
-        for strategy in strategies:
-            try:
-                for i, weights in enumerate(
-                    weight_sequence(blocks, strategy, target)
-                ):
-                    losses[strategy][rep, i] = relative_loss(weights, eval_cov, ones_form)
-            except SingularityError as exc:
-                losses[strategy][rep, :] = np.nan
-                failures[strategy] += 1
-                logger.warning(
-                    "strategy %d failed on rep %d: %s", strategy, rep, exc
-                )
+        _run_repetition(config, rep, target, losses, failures)
 
     rows = []
     for strategy in strategies:

@@ -6,9 +6,13 @@ Covers:
 - each scenario's generated moments against its evaluation covariance
 - the experiment loop: row layout, targeted-strategy behavior,
   failure accounting, configuration validation
+- the streamed loop against a strategy-major reference over materialized
+  blocks, and its working set staying flat in the number of periods
 """
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +331,109 @@ def test_failed_rep_is_counted_and_excluded(monkeypatch):
             assert math.isfinite(row.mean_loss)
         else:
             assert row.failed_reps == 0
+
+
+def _strategy_major_rows(config):
+    """Loss rows of a reference loop that draws every block of a repetition
+    first and then runs each strategy over the whole list."""
+    target = np.full(config.p, 1.0 / config.p)
+    losses = {s: np.full((config.reps, config.periods), np.nan) for s in config.strategies}
+    failures = dict.fromkeys(config.strategies, 0)
+    for rep in range(config.reps):
+        pop_seed, data_seed = np.random.SeedSequence(config.seed, spawn_key=(rep,)).spawn(2)
+        pop = build_population(config.p, pop_seed)
+        rng = np.random.default_rng(data_seed)
+        blocks = [
+            generate(pop, config.scenario, config.n, rng, config.standardize_t)
+            for _ in range(config.periods)
+        ]
+        eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
+        for strategy in config.strategies:
+            try:
+                for i, weights in enumerate(sim.weight_sequence(blocks, strategy, target)):
+                    losses[strategy][rep, i] = relative_loss(weights, eval_cov)
+            except SingularityError:
+                losses[strategy][rep, :] = np.nan
+                failures[strategy] += 1
+    rows = []
+    for strategy in config.strategies:
+        values = losses[strategy][~np.isnan(losses[strategy][:, 0])]
+        n_ok = values.shape[0]
+        for i in range(config.periods):
+            rows.append(
+                sim.LossRow(
+                    scenario=config.scenario,
+                    strategy=strategy,
+                    period=i + 1,
+                    concentration=config.p / config.n,
+                    mean_loss=float(values[:, i].mean()) if n_ok else float("nan"),
+                    stderr=float(values[:, i].std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
+                    failed_reps=failures[strategy],
+                )
+            )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("scenario", sim.SCENARIOS)
+def test_streamed_rows_match_strategy_major_reference(scenario):
+    config = _small_config(scenario=scenario, strategies=(1, 2, 3, 4, 5, 6, 7), periods=4)
+    assert run_experiment(config).rows == _strategy_major_rows(config)
+
+
+def _failing_mid_sequence(failing):
+    """A ``weight_sequence`` that raises a singularity for each
+    ``(strategy, rep)`` in ``failing`` once it has consumed the block of
+    the given period. Reps are told apart by counting each strategy's
+    sequences, which both loop orders create in repetition order."""
+    original = sim.weight_sequence
+    created = {}
+
+    def weight_sequence(blocks, strategy, target):
+        rep = created[strategy] = created.get(strategy, -1) + 1
+        fail_at = failing.get((strategy, rep))
+        for period, weights in enumerate(original(blocks, strategy, target), start=1):
+            if period == fail_at:
+                raise SingularityError("injected failure", n_assets=len(target))
+            yield weights
+
+    return weight_sequence
+
+
+def test_failure_mid_sequence_matches_reference(monkeypatch, caplog):
+    """A strategy failing at period 2 of one repetition loses that whole
+    repetition and nothing else; the warnings come in period order."""
+    config = _small_config(strategies=(1, 5, 6, 7), periods=4, reps=3)
+    failing = {(7, 1): 2, (1, 1): 3}
+    monkeypatch.setattr(sim, "weight_sequence", _failing_mid_sequence(failing))
+    with caplog.at_level(logging.WARNING, logger="gmvshrink"):
+        rows = run_experiment(config).rows
+    monkeypatch.setattr(sim, "weight_sequence", _failing_mid_sequence(failing))
+    assert rows == _strategy_major_rows(config)
+
+    for row in rows:
+        assert row.failed_reps == (1 if row.strategy in (1, 7) else 0)
+        assert math.isfinite(row.mean_loss)
+    assert [r.getMessage() for r in caplog.records] == [
+        "strategy 7 failed on rep 1: injected failure",
+        "strategy 1 failed on rep 1: injected failure",
+    ]
+
+
+def _experiment_peak(config):
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_does_not_grow_with_periods():
+    """Blocks are fed to the strategies as they are drawn, so ten times
+    the periods keeps about the same peak instead of ten times the blocks."""
+    short = _experiment_peak(ScenarioConfig("t5", 30, 200, 4, 2, 3))
+    long = _experiment_peak(ScenarioConfig("t5", 30, 200, 40, 2, 3))
+    assert long < 1.5 * short
 
 
 def test_config_validation():
