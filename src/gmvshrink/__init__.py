@@ -33,7 +33,6 @@ _EXPORTS = {
     "PooledStats": "core",
     # strategy driver
     "STRATEGY_IDS": "strategies",
-    "STRATEGY_LABELS": "strategies",
     "one_period_shrinkage": "strategies",
     "weight_sequence": "strategies",
     # random-matrix kernels

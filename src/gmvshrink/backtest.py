@@ -90,9 +90,13 @@ class WealthSummary(NamedTuple):
     ruined: bool
 
 
-@dataclass(frozen=True)
-class PerfReport:
-    """Everything the backtest reports about one strategy run."""
+class PerfReport(NamedTuple):
+    """Everything the backtest reports about one strategy run.
+
+    The field order is the order of the report's lines; ``wealth_path``
+    comes last and is not printed, as the report gives its endpoint
+    ``final_wealth``. The first five fields are the :class:`WeightStats`.
+    """
 
     mean_abs_weight: float
     max_weight: float
@@ -104,9 +108,10 @@ class PerfReport:
     sharpe: float
     sharpe_defined: bool
     turnover: float
-    wealth_path: tuple
+    final_wealth: float
     worst_daily_change: float
     ruined: bool
+    wealth_path: tuple
 
 
 def performance_measures(weights_history):
@@ -292,30 +297,13 @@ def run_backtest(returns, strategy, schedule, target, drift=False):
         # keep the moments consistent with the truncated wealth path
         day_returns = day_returns[: len(wealth.path) - 1]
 
-    if day_returns.size:
-        mean_return = float(day_returns.mean())
-        volatility = (
-            float(day_returns.std(ddof=1)) if day_returns.size > 1 else 0.0
-        )
-    else:
-        mean_return = 0.0
-        volatility = 0.0
+    mean_return = float(day_returns.mean()) if day_returns.size else 0.0
+    volatility = float(day_returns.std(ddof=1)) if day_returns.size > 1 else 0.0
     sharpe_defined = volatility > 0.0
     sharpe = mean_return / volatility if sharpe_defined else 0.0
 
     report = PerfReport(
-        mean_abs_weight=stats.mean_abs_weight,
-        max_weight=stats.max_weight,
-        min_weight=stats.min_weight,
-        sum_negative=stats.sum_negative,
-        frac_negative=stats.frac_negative,
-        mean_return=mean_return,
-        volatility=volatility,
-        sharpe=sharpe,
-        sharpe_defined=sharpe_defined,
-        turnover=move,
-        wealth_path=wealth.path,
-        worst_daily_change=wealth.worst_daily_change,
-        ruined=wealth.ruined,
+        *stats, mean_return, volatility, sharpe, sharpe_defined, move,
+        wealth.path[-1], wealth.worst_daily_change, wealth.ruined, wealth.path,
     )
     return history, report

@@ -186,8 +186,26 @@ def _refuse_price_levels(path, names, returns):
             )
 
 
+def _refuse_output_collisions(args):
+    """Refuse an output path that resolves, through links too, to an input or
+    to the other output; ``-`` is standard output and never collides."""
+    seen = {}
+    for flag, path in (
+        ("--input", args.input),
+        ("--weights-file", args.weights_file),
+        ("--out", args.out),
+        ("--wealth-out", getattr(args, "wealth_out", None)),  # backtest only
+    ):
+        if path not in (None, "-"):
+            key = os.path.realpath(path)
+            if key in seen and flag in ("--out", "--wealth-out"):
+                raise _ConfigError(f"{flag} {path} names the same file as {seen[key]}")
+            seen[key] = flag
+
+
 def _run_file_backtest(args):
     strategy = _strategy_arg(args)
+    _refuse_output_collisions(args)
     _at_least_one("--n", args.n)
     if args.T is not None:
         _at_least_one("--T", args.T)

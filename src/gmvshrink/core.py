@@ -139,10 +139,11 @@ def solve_spd(mat, rhs, n_obs=None):
     # Rounding can let an exactly rank-deficient matrix through the
     # factorization with a pivot at roundoff level; treat that as singular.
     # The floor scales with the largest diagonal entry, so a constant asset,
-    # whose variance is itself rounding noise, is caught too.
+    # whose variance is itself rounding noise, is caught too. Written as a
+    # failed ">" so that a NaN pivot or floor is refused as well.
     pivots = np.diagonal(factor[0])
     floor = p * np.finfo(np.float64).eps * np.diagonal(mat).max()
-    if np.any(pivots * pivots <= floor):
+    if not np.all(pivots * pivots > floor):
         raise SingularityError(
             f"covariance matrix of dimension p={p} is numerically singular"
             + (f" (sample size n={n_obs})" if n_obs is not None else ""),

@@ -351,46 +351,28 @@ def _write_metadata(handle, metadata):
 
 
 def write_loss_table(table, path):
-    """Serialize a LossTable to CSV with metadata comment lines."""
+    """Serialize a LossTable to CSV: metadata comment lines, then each LossRow in field order."""
     with _open_out(path) as handle:
         _write_metadata(handle, table.metadata)
         handle.write("scenario,strategy,period,c,mean_loss,stderr,failed_reps\n")
         for row in table.rows:
-            handle.write(
-                f"{row.scenario},{row.strategy},{row.period},"
-                f"{_fmt(row.concentration)},{_fmt(row.mean_loss)},"
-                f"{_fmt(row.stderr)},{row.failed_reps}\n"
-            )
+            handle.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_perf_report(report, path, metadata):
     """Serialize a PerfReport as a versioned key-value document.
 
-    The wealth path is summarized by its endpoint here; the per-day
-    series goes to its own CSV on request.
+    One ``key: value`` line per field of the report, in field order, after
+    the metadata; the last field, the per-day wealth path, is left to its
+    own CSV and only its endpoint ``final_wealth`` is printed.
     """
-    fields = [
-        ("mean_abs_weight", report.mean_abs_weight),
-        ("max_weight", report.max_weight),
-        ("min_weight", report.min_weight),
-        ("sum_negative", report.sum_negative),
-        ("frac_negative", report.frac_negative),
-        ("mean_return", report.mean_return),
-        ("volatility", report.volatility),
-        ("sharpe", report.sharpe),
-        ("sharpe_defined", report.sharpe_defined),
-        ("turnover", report.turnover),
-        ("final_wealth", float(report.wealth_path[-1])),
-        ("worst_daily_change", report.worst_daily_change),
-        ("ruined", report.ruined),
-    ]
     with _open_out(path) as handle:
         handle.write("report-version: 1\n")
         for key in metadata:
             handle.write(f"{key}: {metadata[key]}\n")
         if metadata:
             handle.write(f"config-hash: {config_hash(metadata)}\n")
-        for key, value in fields:
+        for key, value in zip(report._fields[:-1], report[:-1]):
             handle.write(f"{key}: {_fmt(value)}\n")
 
 

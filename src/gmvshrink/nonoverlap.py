@@ -12,21 +12,22 @@ the loss carry the excess ``kappa = K - 1`` of the mixing coefficient over
 one (:func:`cross_excess`; the limit forms are in
 :mod:`gmvshrink.overlap`). Fresh windows share nothing, so ``kappa`` is
 exactly zero and the formulas reduce bit for bit to their one-window forms.
-Both window kinds run the same :func:`init` and :func:`step`.
-
-Three initializations are supported:
+Both window kinds run the same :func:`init` and :func:`step`, and every
+mode the same one-period recursion (intensity, advanced loss and the
+target's remaining share). The modes differ only in where it starts:
 
 ``fixed``
     The target is a deterministic weight vector; its loss is estimated once
-    from the first window and the scalar recursion never revisits it.
+    from the first window, and each step advances the recursion one period.
 ``replay``
     The target loss is re-estimated each period from the pooled sample of
-    all windows so far, and the scalar recursion is replayed from period
-    one before computing the current intensity.
+    all windows so far, and the recursion is rerun from it over the past
+    window sizes before the current period is advanced.
 ``prior-sample``
     The target is the sample minimum-variance portfolio of a prior window
     of size ``n0``; its limiting loss ``p / (n0 - p)`` is known exactly, so
     the whole intensity schedule is deterministic given the window sizes.
+    Each step advances it one period, as in fixed mode.
 """
 
 from __future__ import annotations
@@ -141,6 +142,13 @@ def next_loss(intensity, c, prev_loss, excess=0.0):
     return max(0.0, value)
 
 
+def _advance(loss, share, n_obs, n_assets, extending):
+    """One period of the recursion: the intensity, advanced loss and target share."""
+    excess = cross_excess(share, n_obs, n_assets) if extending else 0.0
+    psi = feasible_intensity(n_obs, n_assets, loss, excess)
+    return psi, next_loss(psi, n_assets / n_obs, loss, excess), share * (1.0 - psi)
+
+
 def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
     """Run the scalar recursion over a sequence of window sizes.
 
@@ -148,18 +156,14 @@ def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
     by starting from ``initial_loss`` and consuming windows of the given
     sizes. With ``extending`` the sizes are pooled counts ``N_1 < N_2 < ...``
     and each period's mixing excess follows from the target's remaining
-    share ``prod(1 - psi)``. Pure scalar arithmetic; used by the replay mode,
-    by deterministic schedules and by tests.
+    share ``prod(1 - psi)``. Pure scalar arithmetic, one :func:`_advance`
+    per window, as in :func:`step`; used by the replay mode, by
+    deterministic schedules and by tests.
     """
-    intensities = []
-    losses = []
-    loss = float(initial_loss)
-    share = 1.0
+    intensities, losses = [], []
+    loss, share = float(initial_loss), 1.0
     for n in sample_sizes:
-        excess = cross_excess(share, n, n_assets) if extending else 0.0
-        psi = feasible_intensity(n, n_assets, loss, excess)
-        loss = next_loss(psi, n_assets / n, loss, excess)
-        share *= 1.0 - psi
+        psi, loss, share = _advance(loss, share, n, n_assets, extending)
         intensities.append(psi)
         losses.append(loss)
     return intensities, losses
@@ -255,30 +259,6 @@ def init(target, first_block=None, mode="fixed", extending=False):
     return step(state, first_block)
 
 
-def _entering(state, cov, n_obs, pooled):
-    """Initial loss, and the loss and target share entering this period.
-
-    ``cov`` and ``n_obs`` describe this period's window. Fixed mode
-    estimates the target loss from the first window. Replay re-estimates it
-    each period from everything pooled so far, which is the window itself
-    when extending, and replays the recursion over the past window sizes.
-    """
-    if state.mode == "replay":
-        if not state.extending:
-            cov, n_obs = pooled.cov(), pooled.count
-        start = estimate_target_loss_from_cov(cov, n_obs, state.target)
-        intensities, losses = replay_intensities(
-            start, [rec.n_obs for rec in state.history], state.n_assets, state.extending
-        )
-        initial_loss = start if state.period == 0 else state.initial_loss
-        share = math.prod(1.0 - psi for psi in intensities)
-        return initial_loss, losses[-1] if losses else start, share
-    if state.period == 0 and state.mode == "fixed":
-        loss = estimate_target_loss_from_cov(cov, n_obs, state.target)
-        return loss, loss, state.target_share
-    return state.initial_loss, state.loss, state.target_share
-
-
 def step(state, block):
     """Consume one returns block and return the advanced state.
 
@@ -305,16 +285,27 @@ def step(state, block):
         _, cov = sample_moments(block)
     sample_weights = gmv_weights(cov, n_obs=n)
 
-    initial_loss, prev_loss, share = _entering(state, cov, n, pooled)
-    excess = cross_excess(share, n, p) if state.extending else 0.0
-    psi = feasible_intensity(n, p, prev_loss, excess)
-    new_loss = next_loss(psi, p / n, prev_loss, excess)
+    # enter with the state's loss and share unless a target loss is estimated:
+    # replay pools everything so far (the window itself when extending)
+    initial_loss, loss, share = state.initial_loss, state.loss, state.target_share
+    if state.mode == "replay":
+        window = (cov, n) if state.extending else (pooled.cov(), pooled.count)
+        start = estimate_target_loss_from_cov(*window, state.target)
+        intensities, losses = replay_intensities(
+            start, [rec.n_obs for rec in state.history], p, state.extending
+        )
+        loss = losses[-1] if losses else start
+        share = math.prod(1.0 - psi for psi in intensities)
+        initial_loss = start if state.period == 0 else initial_loss
+    elif state.mode == "fixed" and state.period == 0:
+        initial_loss = loss = estimate_target_loss_from_cov(cov, n, state.target)
+    psi, loss, share = _advance(loss, share, n, p, state.extending)
     return replace(
         state,
         weights=psi * sample_weights + (1.0 - psi) * state.weights,
-        loss=new_loss,
+        loss=loss,
         initial_loss=initial_loss,
-        history=state.history + (PeriodRecord(n, psi, new_loss),),
+        history=state.history + (PeriodRecord(n, psi, loss),),
         pooled=pooled,
-        target_share=share * (1.0 - psi),
+        target_share=share,
     )

@@ -29,16 +29,6 @@ from .core import (
 
 STRATEGY_IDS = (1, 2, 3, 4, 5, 6, 7)
 
-STRATEGY_LABELS = {
-    1: "shrinkage, fresh windows, fixed start loss",
-    2: "shrinkage, extending window, fixed start loss",
-    3: "shrinkage, fresh windows, re-estimated start loss",
-    4: "shrinkage, extending window, re-estimated start loss",
-    5: "sample minimum-variance portfolio",
-    6: "hold the target",
-    7: "one-period shrinkage toward the target",
-}
-
 #: initialization mode and ``extending`` flag of the shrinkage strategies
 PIPELINES = {1: ("fixed", False), 2: ("fixed", True), 3: ("replay", False), 4: ("replay", True)}
 

@@ -29,6 +29,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,8 +163,6 @@ def main(argv=None):
             run(command, HERE)
         print(f"wrote {sum(len(c.outputs) for c in COMMANDS)} files to {HERE}")
         return 0
-    import tempfile
-
     differ = []
     with tempfile.TemporaryDirectory() as scratch:
         for command in COMMANDS:

@@ -448,6 +448,49 @@ def test_weights_file_only_with_external_strategy(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("weights", ["--out", "r.csv"]),
+        ("backtest", ["--out", "./r.csv"]),
+        ("backtest", ["--wealth-out", "r.csv"]),
+        ("backtest", ["--out", "link.csv"]),
+        ("backtest", ["--out", "same.txt", "--wealth-out", "./same.txt"]),
+        ("backtest", ["--strategy", "external", "--weights-file", "w.csv", "--out", "w.csv"]),
+        ("weights", ["--strategy", "external", "--weights-file", "w.csv", "--out", "./w.csv"]),
+    ],
+)
+def test_output_naming_another_file_of_the_run_is_config_error(
+    tmp_path, monkeypatch, capsys, command, flags
+):
+    """An output path that resolves to the input, the weights file or the
+    other output is refused before anything is read or written."""
+    monkeypatch.chdir(tmp_path)
+    _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
+    (tmp_path / "w.csv").write_text("period,a0,a1,a2\n1,0.2,0.3,0.5\n")
+    (tmp_path / "link.csv").symlink_to("r.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    strategy = [] if "--strategy" in flags else ["--strategy", "1"]
+    rc = main([command, "--input", "r.csv", "--n", "10", "--seed", "1", *strategy, *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: config error: ")
+    assert "names the same file as" in captured.err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_standard_output_is_exempt_from_the_collision_check(tmp_path, capsys):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
+    rc = main(
+        ["backtest", "--input", str(csv_path), "--strategy", "6", "--n", "10",
+         "--seed", "1", "--out", "-", "--wealth-out", "-"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "report-version: 1" in out and "day,wealth" in out
+
+
 # ---------------------------------------------------------------------------
 # weights export and external replay
 # ---------------------------------------------------------------------------

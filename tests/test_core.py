@@ -237,6 +237,16 @@ def test_solve_spd_rejects_zero_variance_asset():
         gmv_weights(np.diag([1e-4, 1e-4, 1e-38]))
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_gmv_weights_refuses_nan_covariance_entry(entry):
+    """A NaN passes the factorization unchecked; its NaN pivot (and, on the
+    diagonal, NaN floor) must still read as singular, not as NaN weights."""
+    cov = np.eye(3)
+    cov[entry] = cov[entry[::-1]] = np.nan
+    with pytest.raises(SingularityError, match="numerically singular"):
+        gmv_weights(cov)
+
+
 def test_solve_spd_reports_dimensions_on_failure():
     singular = np.ones((3, 3))
     with pytest.raises(SingularityError) as info:

@@ -298,8 +298,9 @@ def test_module_exports_modes():
 )
 def test_pipeline_invariants(p, extra, mode, extending, seed):
     """Full investment, intensities in [0, 1], the target's share, window
-    sizes and finite nonnegative losses, for both window kinds and every
-    mode. Fresh windows have ``p + 2 + k`` observations; an extending
+    sizes, finite nonnegative losses and, outside replay, a history equal
+    to the recursion rerun from the initial loss, for both window kinds and
+    every mode. Fresh windows have ``p + 2 + k`` observations; an extending
     window starts at ``p + 2 + k`` and grows by ``k + 1`` per period."""
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, size=p)
@@ -333,4 +334,10 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
         start = estimate_target_loss_from_cov(cov, state.pooled.count, state.target)
         schedule, _ = replay_intensities(start, window_sizes, p, extending)
         assert schedule[-1] == state.intensities[-1]
+    else:
+        # fixed and prior-sample steps advance the one recursion a period at
+        # a time: rerunning it from the initial loss gives the same bits
+        assert replay_intensities(state.initial_loss, window_sizes, p, extending) == (
+            list(state.intensities), [rec.loss for rec in state.history]
+        )
     assert state.target_share == math.prod(1.0 - psi for psi in schedule)
