@@ -130,11 +130,14 @@ def write_inputs():
     drift replay exercises the cash leg that built-in strategies never use.
     """
     rng = np.random.default_rng(20240601)
+    # both inputs are drawn every time, so either one can be rewritten alone
+    loadings = np.linspace(0.6, 1.4, len(ASSETS))
+    market = 0.0004 + 0.01 * rng.standard_normal(DAYS)
+    returns = market[:, None] * loadings + 0.008 * rng.standard_normal((DAYS, len(ASSETS)))
+    periods = DAYS // int(WINDOW)
+    raw = rng.uniform(-0.1, 1.0, size=(periods, len(ASSETS)))
+    weights = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.7, 0.95, size=(periods, 1))
     if not (HERE / RETURNS).exists():
-        loadings = np.linspace(0.6, 1.4, len(ASSETS))
-        market = 0.0004 + 0.01 * rng.standard_normal(DAYS)
-        idio = 0.008 * rng.standard_normal((DAYS, len(ASSETS)))
-        returns = market[:, None] * loadings + idio
         day = np.datetime64("2001-01-02")
         with open(HERE / RETURNS, "w", newline="") as handle:
             handle.write("date," + ",".join(ASSETS) + "\n")
@@ -142,9 +145,6 @@ def write_inputs():
                 handle.write(f"{day},{','.join(f'{x:.6f}' for x in row)}\n")
                 day = np.busday_offset(day, 1, roll="forward")
     if not (HERE / EXTERNAL).exists():
-        periods = DAYS // int(WINDOW)
-        raw = rng.uniform(-0.1, 1.0, size=(periods, len(ASSETS)))
-        weights = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.7, 0.95, size=(periods, 1))
         with open(HERE / EXTERNAL, "w", newline="") as handle:
             handle.write("# weights leaving part of the portfolio in cash\n")
             handle.write("period," + ",".join(ASSETS) + "\n")
