@@ -29,7 +29,6 @@ _EXPORTS = {
     "sample_gmv_weights": "core",
     "portfolio_variance": "core",
     "relative_loss": "core",
-    "estimate_target_loss": "core",
     "PooledStats": "core",
     # strategy driver
     "STRATEGY_IDS": "strategies",

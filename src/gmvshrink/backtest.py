@@ -268,7 +268,7 @@ def run_backtest(returns, strategy, schedule, target, drift=False):
     -------
     (list of per-period weight vectors, PerfReport)
     """
-    returns = as_returns_block(returns, min_assets=1, min_obs=1)
+    returns = as_returns_block(returns, min_obs=1)
     p, total_days = returns.shape
     target = as_weight_vector(target, n_assets=p)
     if total_days < schedule.total_observations:

@@ -140,7 +140,7 @@ def _cmd_simulate(args):
             strategies=strategies,
             literal_sigma=args.literal_sigma,
             standardize_t=not args.raw_t5,
-        ).validate()
+        )
     table = run_experiment(config)
     all_failed = [
         s for s in strategies

@@ -46,15 +46,16 @@ class DegenerateInputError(ValueError):
     """Raised when a formula input produces a degenerate expression."""
 
 
-def as_returns_block(values, min_assets=1, min_obs=2):
+def as_returns_block(values, min_obs=2):
     """Validate and coerce a returns block to a float64 ``p x n`` array.
 
     Parameters
     ----------
     values : array_like
         Two-dimensional array, assets in rows and observations in columns.
-    min_assets, min_obs : int
-        Lower bounds on the two dimensions.
+    min_obs : int
+        Lower bound on the number of observations; at least one asset is
+        always required.
 
     Returns
     -------
@@ -67,8 +68,8 @@ def as_returns_block(values, min_assets=1, min_obs=2):
             f"returns block must be 2-D (assets x observations), got ndim={block.ndim}"
         )
     p, n = block.shape
-    if p < min_assets:
-        raise DimensionError(f"returns block needs at least {min_assets} assets, got p={p}")
+    if p < 1:
+        raise DimensionError(f"returns block needs at least 1 asset, got p={p}")
     if n < min_obs:
         raise InsufficientSampleError(
             f"returns block needs at least {min_obs} observations, got n={n}"
@@ -227,8 +228,10 @@ def relative_loss(weights, eval_cov, ones_form=None):
 def estimate_target_loss_from_cov(cov, n_obs, target):
     """Plug-in estimate of the target portfolio's relative loss.
 
-    Evaluates ``(1 - p/n) * 1'S^{-1}1 * b'Sb - 1`` and clamps the result
-    below at zero. The raw value can dip negative by sampling noise (it is
+    Consistent for the population relative loss of the target under
+    high-dimensional asymptotics; requires ``n > p + 1``. Evaluates
+    ``(1 - p/n) * 1'S^{-1}1 * b'Sb - 1`` and clamps the result below at
+    zero. The raw value can dip negative by sampling noise (it is
     exactly ``-p/n`` when the target equals the in-sample minimum-variance
     portfolio); a negative loss would push shrinkage intensities outside
     ``[0, 1]``, so the clamp is applied before the recursion and logged.
@@ -248,17 +251,6 @@ def estimate_target_loss_from_cov(cov, n_obs, target):
         )
         return 0.0
     return raw
-
-
-def estimate_target_loss(block, target):
-    """Estimate the relative loss of a deterministic target from one block.
-
-    Consistent for the population relative loss of the target portfolio
-    under high-dimensional asymptotics; requires ``n > p + 1``.
-    """
-    block = as_returns_block(block)
-    _, cov = sample_moments(block)
-    return estimate_target_loss_from_cov(cov, block.shape[1], target)
 
 
 @dataclass

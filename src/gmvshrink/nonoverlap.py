@@ -185,7 +185,9 @@ class ShrinkageState:
     being the window size: the block's for fresh windows, the pooled count
     ``N_1 < N_2 < ...`` for extending ones. ``target_share`` is the target's
     remaining share ``prod(1 - psi)`` in the holding portfolio (of the
-    replayed schedule in replay mode). ``pooled`` carries the running
+    replayed schedule in replay mode). ``loss`` is the tracked loss after
+    the last step; before the first it is the known prior-sample loss, or
+    NaN where the first window estimates it. ``pooled`` carries the running
     sufficient statistics of all blocks so far; it is kept only where they
     are used, for extending windows and in replay mode.
     """
@@ -196,7 +198,6 @@ class ShrinkageState:
     target: np.ndarray
     weights: np.ndarray
     loss: float
-    initial_loss: float
     history: tuple = ()
     pooled: PooledStats | None = None
     target_share: float = 1.0
@@ -239,10 +240,10 @@ def init(target, first_block=None, mode="fixed", extending=False):
                 f"prior-sample mode needs n0 > p + 1, got p={p}, n0={n0}"
             )
         target_weights = sample_gmv_weights(prior)
-        initial_loss = p / (n0 - p)
+        loss = p / (n0 - p)
     else:
         target_weights = as_weight_vector(target)
-        initial_loss = float("nan")  # estimated from the first window
+        loss = float("nan")  # estimated from the first window
     p = target_weights.shape[0]
     state = ShrinkageState(
         n_assets=p,
@@ -250,8 +251,7 @@ def init(target, first_block=None, mode="fixed", extending=False):
         extending=extending,
         target=target_weights,
         weights=target_weights,
-        loss=initial_loss,
-        initial_loss=initial_loss,
+        loss=loss,
         pooled=PooledStats(p) if extending or mode == "replay" else None,
     )
     if first_block is None:
@@ -280,14 +280,16 @@ def step(state, block):
     if state.extending and state.period > 0:
         cov = pooled.cov()
     else:
-        # A fresh window, or the first pooled one: two-pass moments, so the
-        # first steps of both window kinds agree bit for bit.
+        # A fresh window, or the first pooled one: two-pass moments, so in
+        # fixed mode the first steps of both window kinds agree bit for bit.
+        # Replay on fresh windows does not: its start below comes from the
+        # pooled raw-sum covariance, which differs in the last digits.
         _, cov = sample_moments(block)
     sample_weights = gmv_weights(cov, n_obs=n)
 
     # enter with the state's loss and share unless a target loss is estimated:
     # replay pools everything so far (the window itself when extending)
-    initial_loss, loss, share = state.initial_loss, state.loss, state.target_share
+    loss, share = state.loss, state.target_share
     if state.mode == "replay":
         window = (cov, n) if state.extending else (pooled.cov(), pooled.count)
         start = estimate_target_loss_from_cov(*window, state.target)
@@ -296,15 +298,13 @@ def step(state, block):
         )
         loss = losses[-1] if losses else start
         share = math.prod(1.0 - psi for psi in intensities)
-        initial_loss = start if state.period == 0 else initial_loss
     elif state.mode == "fixed" and state.period == 0:
-        initial_loss = loss = estimate_target_loss_from_cov(cov, n, state.target)
+        loss = estimate_target_loss_from_cov(cov, n, state.target)
     psi, loss, share = _advance(loss, share, n, p, state.extending)
     return replace(
         state,
         weights=psi * sample_weights + (1.0 - psi) * state.weights,
         loss=loss,
-        initial_loss=initial_loss,
         history=state.history + (PeriodRecord(n, psi, loss),),
         pooled=pooled,
         target_share=share,

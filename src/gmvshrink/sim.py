@@ -241,15 +241,15 @@ def generate(pop, scenario, n, rng, standardize_t=True):
 def _garch_centered(shocks, variance, intercepts, arch, persist):
     """Turn day-major GARCH(1,1) shocks into centered returns, in place.
 
-    ``shocks`` has shape ``(days, ..., p)``, one row per day; ``variance``
-    (the first day's conditional variance) and the coefficients broadcast
-    against a row. Row ``t`` ends as ``e_t = sqrt(h_t)·z_t`` with ``h_0`` the
-    given variance and ``h_t = (ω + α·(e·e)) + β·h_{t-1}``, ``e`` the previous
-    row's result. Every day is seven in-place ufunc calls evaluated in that
-    order, so the result is bit-identical to the written expressions.
+    ``shocks`` has shape ``(days, p)``, one row per day; ``variance`` (the
+    first day's conditional variance) and the coefficients are length ``p``.
+    Row ``t`` ends as ``e_t = sqrt(h_t)·z_t`` with ``h_0`` the given variance
+    and ``h_t = (ω + α·(e·e)) + β·h_{t-1}``, ``e`` the previous row's result.
+    Every day is seven in-place ufunc calls evaluated in that order, so the
+    result is bit-identical to the written expressions.
     """
     multiply, add, sqrt = np.multiply, np.add, np.sqrt
-    h = np.array(np.broadcast_to(variance, shocks.shape[1:]))
+    h = np.array(variance)
     work = np.empty_like(h)
     sqrt(h, work)
     prev = shocks[0]
@@ -280,7 +280,7 @@ class LossRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Configuration of one simulation experiment."""
+    """Configuration of one simulation experiment, validated on construction."""
 
     scenario: str
     p: int
@@ -292,7 +292,7 @@ class ScenarioConfig:
     literal_sigma: bool = False
     standardize_t: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}"
@@ -317,7 +317,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"estimation windows need n > p + 1, got p={self.p}, n={self.n}"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,8 @@ def _run_repetition(config, rep, target, losses, failures):
 
     Blocks are drawn in period order and each is fed to every strategy
     still running before the next is drawn. A strategy whose sequence
-    raises a singularity, when created or at any period, gets NaN for the
-    whole repetition, is counted and logged, and gets no further blocks.
+    raises a singularity at any period gets NaN for the whole repetition,
+    is counted and logged, and gets no further blocks.
     """
     rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
     pop_seed, data_seed = rep_seq.spawn(2)
@@ -371,18 +370,10 @@ def _run_repetition(config, rep, target, losses, failures):
     eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
     ones_form = precision_ones_form(eval_cov)
 
-    def fail(strategy, exc):
-        losses[strategy][rep, :] = np.nan
-        failures[strategy] += 1
-        logger.warning("strategy %d failed on rep %d: %s", strategy, rep, exc)
-
     live = {}
     for strategy in config.strategies:
         feed = _BlockFeed()
-        try:
-            live[strategy] = (feed, weight_sequence(feed, strategy, target))
-        except SingularityError as exc:
-            fail(strategy, exc)
+        live[strategy] = (feed, weight_sequence(feed, strategy, target))
 
     for i in range(config.periods):
         block = generate(pop, config.scenario, config.n, rng, config.standardize_t)
@@ -392,7 +383,9 @@ def _run_repetition(config, rep, target, losses, failures):
                 losses[strategy][rep, i] = relative_loss(next(sequence), eval_cov, ones_form)
             except SingularityError as exc:
                 del live[strategy]
-                fail(strategy, exc)
+                losses[strategy][rep, :] = np.nan
+                failures[strategy] += 1
+                logger.warning("strategy %d failed on rep %d: %s", strategy, rep, exc)
 
 
 def run_experiment(config):
@@ -413,7 +406,6 @@ def run_experiment(config):
     order of the periods at which they failed, in strategy order only
     within one period.
     """
-    config.validate()
     strategies = tuple(config.strategies)
     periods = config.periods
 

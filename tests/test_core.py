@@ -7,11 +7,13 @@ Covers:
 - the consistent target-loss estimator and its clamp
 - pooled running statistics
 - full-investment, optimality, and scale-equivariance properties
+- the package's lazy exports
 """
 
 import numpy as np
 import pytest
 
+import gmvshrink
 from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
@@ -19,7 +21,6 @@ from gmvshrink.core import (
     SingularityError,
     as_returns_block,
     as_weight_vector,
-    estimate_target_loss,
     estimate_target_loss_from_cov,
     gmv_weights,
     portfolio_variance,
@@ -81,6 +82,18 @@ def test_sample_moments_rejects_single_observation():
 def test_returns_block_rejects_non_finite():
     with pytest.raises(ValueError):
         as_returns_block(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_returns_block_rejects_zero_assets():
+    with pytest.raises(DimensionError):
+        as_returns_block(np.empty((0, 5)))
+
+
+def test_package_exports_resolve():
+    """Every lazily exported name loads, and ``__all__`` lists exactly them."""
+    for name in gmvshrink._EXPORTS:
+        getattr(gmvshrink, name)  # AttributeError if its module lacks it
+    assert sorted(gmvshrink.__all__) == sorted([*gmvshrink._EXPORTS, "__version__"])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +175,7 @@ def test_relative_loss_never_below_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# estimate_target_loss
+# estimate_target_loss_from_cov
 # ---------------------------------------------------------------------------
 
 
@@ -174,7 +187,7 @@ def test_target_loss_clamps_at_in_sample_gmv():
     b = gmv_weights(cov)
     raw = (1 - 4 / 30) * precision_ones_form(cov) * float(b @ cov @ b) - 1.0
     assert raw == pytest.approx(-4 / 30, abs=1e-12)
-    assert estimate_target_loss(block, b) == 0.0
+    assert estimate_target_loss_from_cov(cov, block.shape[1], b) == 0.0
 
 
 def test_target_loss_identity_population_near_zero():
@@ -182,7 +195,8 @@ def test_target_loss_identity_population_near_zero():
     rng = np.random.default_rng(29)
     block = rng.standard_normal((5, 4000))
     b = np.full(5, 0.2)
-    assert estimate_target_loss(block, b) == pytest.approx(0.0, abs=0.05)
+    loss = estimate_target_loss_from_cov(sample_moments(block)[1], block.shape[1], b)
+    assert loss == pytest.approx(0.0, abs=0.05)
 
 
 def test_target_loss_tracks_population_value():
@@ -195,16 +209,21 @@ def test_target_loss_tracks_population_value():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         block = pop.mean[:, None] + pop.sqrt_cov @ rng.standard_normal((100, 500))
-        estimates.append(estimate_target_loss(block, b))
+        estimates.append(
+            estimate_target_loss_from_cov(sample_moments(block)[1], block.shape[1], b)
+        )
     assert np.mean(estimates) == pytest.approx(population, rel=0.10)
 
 
 def test_target_loss_needs_enough_observations():
     rng = np.random.default_rng(31)
+    b = np.full(10, 0.1)
+    block = rng.standard_normal((10, 11))
     with pytest.raises(InsufficientSampleError):
-        estimate_target_loss(rng.standard_normal((10, 11)), np.full(10, 0.1))
+        estimate_target_loss_from_cov(sample_moments(block)[1], block.shape[1], b)
     # n = p + 2 is the smallest legal sample
-    estimate_target_loss(rng.standard_normal((10, 12)), np.full(10, 0.1))
+    block = rng.standard_normal((10, 12))
+    estimate_target_loss_from_cov(sample_moments(block)[1], block.shape[1], b)
 
 
 def test_target_loss_from_cov_validates_sample_size():

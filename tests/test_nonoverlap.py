@@ -21,7 +21,6 @@ from gmvshrink import nonoverlap
 from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
-    estimate_target_loss,
     estimate_target_loss_from_cov,
     gmv_weights,
     relative_loss,
@@ -143,9 +142,9 @@ def test_replay_intensities_matches_manual_loop():
 def test_prior_sample_initial_loss():
     rng = np.random.default_rng(71)
     state = init(rng.standard_normal((100, 200)), mode="prior-sample")
-    assert state.initial_loss == pytest.approx(1.0)
+    assert state.loss == pytest.approx(1.0)
     state = init(rng.standard_normal((200, 250)), mode="prior-sample")
-    assert state.initial_loss == pytest.approx(4.0)
+    assert state.loss == pytest.approx(4.0)
 
 
 def test_prior_sample_rejects_short_prior():
@@ -173,7 +172,7 @@ def test_fixed_mode_in_sample_target_fully_shrinks_to_target():
     _, cov = sample_moments(block)
     b = gmv_weights(cov)
     state = init(b, first_block=block, mode="fixed")
-    assert state.initial_loss == 0.0
+    assert estimate_target_loss_from_cov(cov, block.shape[1], b) == 0.0
     assert state.intensities[0] == 0.0
     np.testing.assert_array_equal(state.weights, b)
 
@@ -260,8 +259,6 @@ def test_replay_reestimates_from_pooled_sample():
     start = estimate_target_loss_from_cov(pooled_cov, stacked.shape[1], b)
     expected, _ = replay_intensities(start, [20, 20, 20], 6)
     assert state.intensities[-1] == pytest.approx(expected[-1], rel=1e-9)
-    # the initial loss stays the first window's estimate
-    assert state.initial_loss == pytest.approx(estimate_target_loss(blocks[0], b), rel=1e-9)
 
 
 def test_intensity_tracks_population_oracle():
@@ -299,9 +296,10 @@ def test_module_exports_modes():
 def test_pipeline_invariants(p, extra, mode, extending, seed):
     """Full investment, intensities in [0, 1], the target's share, window
     sizes, finite nonnegative losses and, outside replay, a history equal
-    to the recursion rerun from the initial loss, for both window kinds and
-    every mode. Fresh windows have ``p + 2 + k`` observations; an extending
-    window starts at ``p + 2 + k`` and grows by ``k + 1`` per period."""
+    to the recursion rerun from an independently computed start, for both
+    window kinds and every mode. Fresh windows have ``p + 2 + k``
+    observations; an extending window starts at ``p + 2 + k`` and grows by
+    ``k + 1`` per period."""
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, size=p)
     if extending:
@@ -336,8 +334,15 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
         assert schedule[-1] == state.intensities[-1]
     else:
         # fixed and prior-sample steps advance the one recursion a period at
-        # a time: rerunning it from the initial loss gives the same bits
-        assert replay_intensities(state.initial_loss, window_sizes, p, extending) == (
+        # a time: rerunning it from the start loss gives the same bits, the
+        # known p / (n0 - p) or the estimate on the first window
+        if mode == "prior-sample":
+            start = p / (target.shape[1] - p)
+        else:
+            start = estimate_target_loss_from_cov(
+                sample_moments(blocks[0])[1], block_sizes[0], target
+            )
+        assert replay_intensities(start, window_sizes, p, extending) == (
             list(state.intensities), [rec.loss for rec in state.history]
         )
     assert state.target_share == math.prod(1.0 - psi for psi in schedule)

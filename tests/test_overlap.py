@@ -38,6 +38,7 @@ from gmvshrink.overlap import (
 )
 from gmvshrink.rmt import cross_resolvent_constant
 from gmvshrink.sim import build_population, generate
+from gmvshrink.strategies import weight_sequence
 
 # ---------------------------------------------------------------------------
 # cross_term
@@ -253,6 +254,17 @@ def test_first_step_matches_fresh_window_pipeline_bitwise():
     np.testing.assert_array_equal(fresh.weights, pooled.weights)
     assert fresh.loss == pooled.loss
     assert fresh.intensities[0] == pooled.intensities[0]
+
+
+def test_first_weights_agree_across_strategies_bitwise():
+    """Strategies 1, 2, 4 and 7 estimate the first step from the same
+    two-pass covariance, so their first weights are the same bits."""
+    p = 30
+    block = generate(build_population(p, 3), "t5", 40, np.random.default_rng(3))
+    target = np.full(p, 1.0 / p)
+    first = [next(weight_sequence([block], s, target)) for s in (1, 2, 4, 7)]
+    for weights in first[1:]:
+        assert np.array_equal(weights, first[0])
 
 
 def test_first_window_must_exceed_asset_count():

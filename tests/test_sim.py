@@ -215,17 +215,6 @@ def test_generate_is_bit_identical_to_per_step_reference(scenario, p):
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-def test_garch_recursion_runs_stacked_blocks_as_one_state():
-    """Shocks shaped (days, blocks, p) give each block its own path."""
-    pop = build_population(7, seed=3)
-    args = (np.diag(pop.cov), pop.garch_intercepts, pop.arch_coeffs, pop.persist_coeffs)
-    shocks = np.random.default_rng(5).standard_normal((40, 3, 7))
-    stacked = sim._garch_centered(shocks.copy(), *args)
-    for b in range(3):
-        single = sim._garch_centered(shocks[:, b].copy(), *args)
-        assert np.array_equal(stacked[:, b], single)
-
-
 @pytest.mark.parametrize("scenario", sorted(_PER_STEP))
 def test_run_experiment_rows_match_per_step_generator(monkeypatch, scenario):
     config = _small_config(scenario=scenario, strategies=(1, 2, 5, 7))
@@ -321,7 +310,7 @@ def test_failed_rep_is_counted_and_excluded(monkeypatch):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise SingularityError("injected failure", n_assets=len(target))
-        return original(blocks, strategy, target)
+        yield from original(blocks, strategy, target)
 
     monkeypatch.setattr(sim, "weight_sequence", flaky)
     table = run_experiment(_small_config(strategies=(5, 6), reps=3))
@@ -438,26 +427,26 @@ def test_working_set_does_not_grow_with_periods():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        _small_config(scenario="normal").validate()
+        _small_config(scenario="normal")
     with pytest.raises(ValueError):
-        _small_config(p=4).validate()
+        _small_config(p=4)
     with pytest.raises(ValueError):
-        _small_config(periods=0).validate()
+        _small_config(periods=0)
     with pytest.raises(ValueError):
-        _small_config(reps=0).validate()
+        _small_config(reps=0)
     with pytest.raises(ValueError):
-        _small_config(strategies=(1, 9)).validate()
+        _small_config(strategies=(1, 9))
     with pytest.raises(ValueError):
-        _small_config(strategies=()).validate()
+        _small_config(strategies=())
     with pytest.raises(ValueError, match="requested once"):
-        _small_config(strategies=(1, 1, 6)).validate()
+        _small_config(strategies=(1, 1, 6))
     with pytest.raises(ValueError):
-        _small_config(n=9).validate()  # windows too short for estimation
+        _small_config(n=9)  # windows too short for estimation
     # but the no-estimation strategy tolerates any positive window length
-    _small_config(n=9, strategies=(6,)).validate()
+    _small_config(n=9, strategies=(6,))
     for n in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1"):
-            _small_config(n=n, strategies=(6,)).validate()
+            _small_config(n=n, strategies=(6,))
 
 
 def test_scenario_registry():
