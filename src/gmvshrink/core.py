@@ -79,6 +79,15 @@ def as_returns_block(values, min_obs=2):
     return block
 
 
+def require_window(p, n):
+    """Refuse an estimation window of ``n`` observations on ``p`` assets
+    unless ``n > p + 1``, the least every window-estimating strategy needs."""
+    if n <= p + 1:
+        raise InsufficientSampleError(
+            f"estimation windows need n > p + 1, got p={p}, n={n}"
+        )
+
+
 def as_weight_vector(values, n_assets=None):
     """Coerce to a 1-D float64 weight vector, optionally checking its length."""
     w = np.asarray(values, dtype=np.float64).reshape(-1)

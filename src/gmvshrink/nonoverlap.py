@@ -47,6 +47,7 @@ from .core import (
     as_weight_vector,
     estimate_target_loss_from_cov,
     gmv_weights,
+    require_window,
     sample_gmv_weights,
     sample_moments,
 )
@@ -272,10 +273,7 @@ def step(state, block):
         raise DimensionError(f"block has p={block.shape[0]} assets, state expects {p}")
     pooled = None if state.pooled is None else state.pooled.updated(block)
     n = pooled.count if state.extending else block.shape[1]
-    if n <= p + 1:
-        raise InsufficientSampleError(
-            f"estimation windows need n > p + 1, got p={p}, n={n}"
-        )
+    require_window(p, n)
 
     if state.extending and state.period > 0:
         cov = pooled.cov()

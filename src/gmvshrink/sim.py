@@ -44,6 +44,7 @@ only while that order is kept; floating-point addition is not associative.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SingularityError, precision_ones_form, relative_loss
+from .core import SingularityError, precision_ones_form, relative_loss, require_window
 from .strategies import STRATEGY_IDS, weight_sequence
 
 logger = logging.getLogger(__name__)
@@ -280,7 +281,12 @@ class LossRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Configuration of one simulation experiment, validated on construction."""
+    """Configuration of one simulation experiment, validated on construction.
+
+    Unless only strategy 6 (holding the target) is requested, the window
+    length must pass :func:`gmvshrink.core.require_window`, which raises
+    :class:`~gmvshrink.core.InsufficientSampleError`.
+    """
 
     scenario: str
     p: int
@@ -313,10 +319,8 @@ class ScenarioConfig:
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError(f"each strategy may be requested once, got {list(self.strategies)}")
         # every strategy but holding the target estimates from n-day windows
-        if any(s != 6 for s in self.strategies) and self.n <= self.p + 1:
-            raise ValueError(
-                f"estimation windows need n > p + 1, got p={self.p}, n={self.n}"
-            )
+        if any(s != 6 for s in self.strategies):
+            require_window(self.p, self.n)
 
 
 @dataclass(frozen=True)
@@ -333,35 +337,16 @@ class LossTable:
         raise KeyError(f"no row for strategy={strategy}, period={period}")
 
 
-class _BlockFeed:
-    """One strategy's view of a repetition's blocks, each handed over once.
-
-    ``weight_sequence`` consumes one block per weight vector it yields, so
-    the feed holds only the block most recently drawn.
-    """
-
-    __slots__ = ("block",)
-
-    def __init__(self):
-        self.block = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        block, self.block = self.block, None
-        if block is None:
-            raise RuntimeError("strategy asked for a block that has not been drawn")
-        return block
-
-
 def _run_repetition(config, rep, target, losses, failures):
     """Run repetition ``rep``, filling its row of ``losses`` in place.
 
     Blocks are drawn in period order and each is fed to every strategy
-    still running before the next is drawn. A strategy whose sequence
-    raises a singularity at any period gets NaN for the whole repetition,
-    is counted and logged, and gets no further blocks.
+    still running before the next is drawn. Each strategy's sequence reads
+    its blocks by popping a one-slot list that holds the block just drawn,
+    so a strategy that asks for a block not yet drawn raises ``IndexError``.
+    A strategy whose sequence raises a singularity at any period gets NaN
+    for the whole repetition, is counted and logged, and gets no further
+    blocks.
     """
     rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
     pop_seed, data_seed = rep_seq.spawn(2)
@@ -372,13 +357,15 @@ def _run_repetition(config, rep, target, losses, failures):
 
     live = {}
     for strategy in config.strategies:
-        feed = _BlockFeed()
-        live[strategy] = (feed, weight_sequence(feed, strategy, target))
+        slot = []
+        # the first iterable is evaluated here, so each sequence pops its own slot
+        blocks = (take() for take in itertools.repeat(slot.pop))
+        live[strategy] = (slot, weight_sequence(blocks, strategy, target))
 
     for i in range(config.periods):
         block = generate(pop, config.scenario, config.n, rng, config.standardize_t)
-        for strategy, (feed, sequence) in list(live.items()):
-            feed.block = block
+        for strategy, (slot, sequence) in list(live.items()):
+            slot.append(block)
             try:
                 losses[strategy][rep, i] = relative_loss(next(sequence), eval_cov, ones_form)
             except SingularityError as exc:

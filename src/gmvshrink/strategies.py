@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from . import nonoverlap
 from .core import (
-    InsufficientSampleError,
     as_returns_block,
     as_weight_vector,
     gmv_weights,  # noqa: F401  (an alias perfbench/tests/tracer_checks.py reads)
+    require_window,
     sample_gmv_weights,
 )
 
@@ -69,11 +69,7 @@ def weight_sequence(blocks, strategy, target):
     elif strategy == 5:
         for block in blocks:
             block = as_returns_block(block)
-            p, n = block.shape
-            if n <= p + 1:
-                raise InsufficientSampleError(
-                    f"estimation windows need n > p + 1, got p={p}, n={n}"
-                )
+            require_window(*block.shape)
             yield sample_gmv_weights(block)
     elif strategy == 6:
         for _block in blocks:

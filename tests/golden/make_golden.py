@@ -74,6 +74,11 @@ def _commands():
             "simulate", "--scenario", scenario, "--p", "10", "--n", "30", "--T", "4",
             "--reps", "3", "--seed", "11", "--out", f"{{out}}/simulate_{scenario}.csv",
         )))
+    for scenario, flag, name in (("capm", "--literal-sigma", "literal_sigma"), ("t5", "--raw-t5", "raw")):
+        commands.append(Command((
+            "simulate", "--scenario", scenario, "--p", "10", "--n", "30", "--T", "4",
+            "--reps", "3", "--seed", "11", flag, "--out", f"{{out}}/simulate_{scenario}_{name}.csv",
+        )))
     for form in ("centered", "uncentered"):
         for tails in ("normal", "t9"):
             # at this size the centered form misses the resolvent_sq limit by

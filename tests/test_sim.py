@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gmvshrink import sim
-from gmvshrink.core import SingularityError, relative_loss, sample_moments
+from gmvshrink.core import InsufficientSampleError, SingularityError, relative_loss, sample_moments
 from gmvshrink.sim import (
     ScenarioConfig,
     build_population,
@@ -408,6 +408,27 @@ def test_failure_mid_sequence_matches_reference(monkeypatch, caplog):
     ]
 
 
+def test_strategy_cannot_read_a_block_not_yet_drawn(monkeypatch):
+    """Each strategy is handed the block just drawn, once: a sequence that
+    reads two blocks per weight vector fails before a second block is drawn."""
+    drawn = []
+
+    def counting_generate(*args, **kwargs):
+        drawn.append(1)
+        return generate(*args, **kwargs)
+
+    def greedy(blocks, strategy, target):
+        for _block in blocks:
+            next(blocks)
+            yield np.array(target)
+
+    monkeypatch.setattr(sim, "generate", counting_generate)
+    monkeypatch.setattr(sim, "weight_sequence", greedy)
+    with pytest.raises(IndexError):
+        run_experiment(_small_config(strategies=(6,), reps=1))
+    assert len(drawn) == 1
+
+
 def _experiment_peak(config):
     tracemalloc.start()
     try:
@@ -440,7 +461,7 @@ def test_config_validation():
         _small_config(strategies=())
     with pytest.raises(ValueError, match="requested once"):
         _small_config(strategies=(1, 1, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientSampleError, match=r"need n > p \+ 1, got p=8, n=9"):
         _small_config(n=9)  # windows too short for estimation
     # but the no-estimation strategy tolerates any positive window length
     _small_config(n=9, strategies=(6,))
