@@ -136,7 +136,6 @@ def _cmd_simulate(args):
             seed=args.seed,
             strategies=strategies,
             literal_sigma=args.literal_sigma,
-            standardize_t=not args.raw_t5,
         )
     table = run_experiment(config)
     all_failed = [
@@ -322,11 +321,6 @@ def _build_parser():
         action="store_true",
         help="evaluate losses against the innovation covariance even when "
         "the scenario's true return covariance differs",
-    )
-    sim.add_argument(
-        "--raw-t5",
-        action="store_true",
-        help="skip the unit-variance standardization of the t(5) draws",
     )
     sim.add_argument(
         "--full",

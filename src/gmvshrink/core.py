@@ -247,10 +247,7 @@ def estimate_target_loss_from_cov(cov, n_obs, target):
     """
     cov = np.asarray(cov, dtype=np.float64)
     p = cov.shape[0]
-    if n_obs <= p + 1:
-        raise InsufficientSampleError(
-            f"target-loss estimation needs n > p + 1, got p={p}, n={n_obs}"
-        )
+    require_window(p, n_obs)
     b = as_weight_vector(target, n_assets=p)
     qf = precision_ones_form(cov, n_obs=n_obs)
     raw = (1.0 - p / n_obs) * qf * float(b @ cov @ b) - 1.0

@@ -236,10 +236,7 @@ def init(target, first_block=None, mode="fixed", extending=False):
     if mode == "prior-sample":
         prior = as_returns_block(target)
         p, n0 = prior.shape
-        if n0 <= p + 1:
-            raise InsufficientSampleError(
-                f"prior-sample mode needs n0 > p + 1, got p={p}, n0={n0}"
-            )
+        require_window(p, n0)
         target_weights = sample_gmv_weights(prior)
         loss = p / (n0 - p)
     else:

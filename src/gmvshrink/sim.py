@@ -16,8 +16,9 @@ Scenarios
 ---------
 ``t5``
     Independent innovations with heavy tails: entries drawn from a t
-    distribution with 5 degrees of freedom, standardized to unit variance
-    by default.
+    distribution with 5 degrees of freedom, standardized to unit variance.
+    Standardizing changes no weight and no relative loss: GMV weights do
+    not move when the returns are multiplied by a constant.
 ``capm``
     A single common factor added on top of the innovation model, so the
     true covariance of returns is the innovation covariance plus a rank-one
@@ -186,7 +187,7 @@ def build_population(p, seed):
     )
 
 
-def generate(pop, scenario, n, rng, standardize_t=True):
+def generate(pop, scenario, n, rng):
     """Generate a ``p x n`` returns block under one scenario.
 
     Blocks are independent across calls; the time-series scenarios restart
@@ -200,8 +201,7 @@ def generate(pop, scenario, n, rng, standardize_t=True):
 
     if scenario == "t5":
         x = rng.standard_t(5, (p, n))
-        if standardize_t:
-            x /= math.sqrt(5.0 / 3.0)  # t(5) variance is 5/3
+        x /= math.sqrt(5.0 / 3.0)  # t(5) variance is 5/3
         return pop.mean[:, None] + pop.sqrt_cov @ x
 
     if scenario == "capm":
@@ -285,7 +285,9 @@ class ScenarioConfig:
 
     Unless only strategy 6 (holding the target) is requested, the window
     length must pass :func:`gmvshrink.core.require_window`, which raises
-    :class:`~gmvshrink.core.InsufficientSampleError`.
+    :class:`~gmvshrink.core.InsufficientSampleError`. There is no scale
+    setting: ``t5`` draws are always standardized, and rescaling returns
+    changes no weight and no loss.
     """
 
     scenario: str
@@ -296,7 +298,6 @@ class ScenarioConfig:
     seed: int
     strategies: tuple = STRATEGY_IDS
     literal_sigma: bool = False
-    standardize_t: bool = True
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -363,7 +364,7 @@ def _run_repetition(config, rep, target, losses, failures):
         live[strategy] = (slot, weight_sequence(blocks, strategy, target))
 
     for i in range(config.periods):
-        block = generate(pop, config.scenario, config.n, rng, config.standardize_t)
+        block = generate(pop, config.scenario, config.n, rng)
         for strategy, (slot, sequence) in list(live.items()):
             slot.append(block)
             try:
@@ -435,6 +436,5 @@ def run_experiment(config):
         "seed": str(config.seed),
         "strategies": ",".join(str(s) for s in strategies),
         "literal-sigma": str(config.literal_sigma).lower(),
-        "t5-standardized": str(config.standardize_t).lower(),
     }
     return LossTable(rows=tuple(rows), metadata=metadata)

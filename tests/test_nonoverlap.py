@@ -153,6 +153,22 @@ def test_prior_sample_rejects_short_prior():
         init(rng.standard_normal((100, 101)), mode="prior-sample")
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda block: estimate_target_loss_from_cov(
+            sample_moments(block)[1], block.shape[1], np.full(block.shape[0], 0.1)
+        ),
+        lambda block: init(block, mode="prior-sample"),
+    ],
+    ids=["target-loss", "prior-sample"],
+)
+def test_short_windows_are_refused_with_the_shared_message(estimate):
+    block = np.random.default_rng(74).standard_normal((10, 11))
+    with pytest.raises(InsufficientSampleError, match=r"estimation windows need n > p \+ 1"):
+        estimate(block)
+
+
 def test_prior_sample_schedule_is_deterministic():
     """Intensities depend only on window sizes, not on the data."""
     rng = np.random.default_rng(79)

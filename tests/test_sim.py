@@ -26,6 +26,7 @@ from gmvshrink.sim import (
     run_experiment,
     spectrum_for,
 )
+from gmvshrink.strategies import STRATEGY_IDS, weight_sequence
 
 
 def _relative_frobenius(actual, expected):
@@ -111,12 +112,22 @@ def test_t5_block_matches_population_covariance():
     assert np.max(np.abs(mean - pop.mean)) < 0.05
 
 
-def test_raw_t5_inflates_variance_by_five_thirds():
-    pop = build_population(20, seed=5)
-    rng = np.random.default_rng(11)
-    block = generate(pop, "t5", 20_000, rng, standardize_t=False)
-    _, cov = sample_moments(block)
-    assert np.trace(cov) / np.trace(pop.cov) == pytest.approx(5 / 3, rel=0.05)
+@pytest.mark.parametrize("seed", range(5))
+def test_weights_do_not_depend_on_the_scale_of_t5_returns(seed):
+    """Standardizing the t(5) draws changes no weight: a power-of-two scale
+    leaves every strategy's weights bit-identical, and the standardizing
+    factor sqrt(5/3) moves them by rounding only."""
+    p = 12
+    pop = build_population(p, 100 + seed)
+    rng = np.random.default_rng(seed)
+    blocks = [generate(pop, "t5", 30, rng) for _ in range(6)]
+    target = np.full(p, 1.0 / p)
+    for strategy in STRATEGY_IDS:
+        expected = list(weight_sequence(blocks, strategy, target))
+        for scale, rtol in ((2.0, 0.0), (0.25, 0.0), (math.sqrt(5 / 3), 1e-12)):
+            scaled = weight_sequence([scale * b for b in blocks], strategy, target)
+            for got, want in zip(scaled, expected, strict=True):
+                np.testing.assert_allclose(got, want, rtol=rtol, err_msg=f"{strategy=}, {scale=}")
 
 
 def test_capm_block_carries_the_factor_term():
@@ -220,7 +231,7 @@ def test_run_experiment_rows_match_per_step_generator(monkeypatch, scenario):
     config = _small_config(scenario=scenario, strategies=(1, 2, 5, 7))
     rows = run_experiment(config).rows
 
-    def per_step_generate(pop, scenario, n, rng, standardize_t=True):
+    def per_step_generate(pop, scenario, n, rng):
         return _PER_STEP[scenario](pop, n, rng)
 
     monkeypatch.setattr(sim, "generate", per_step_generate)
@@ -271,7 +282,6 @@ def test_metadata_records_configuration():
     assert table.metadata["scenario"] == "t5"
     assert table.metadata["strategies"] == "1,5,6,7"
     assert table.metadata["literal-sigma"] == "false"
-    assert table.metadata["t5-standardized"] == "true"
 
 
 def test_hold_target_strategy_loss_is_period_invariant():
@@ -333,7 +343,7 @@ def _strategy_major_rows(config):
         pop = build_population(config.p, pop_seed)
         rng = np.random.default_rng(data_seed)
         blocks = [
-            generate(pop, config.scenario, config.n, rng, config.standardize_t)
+            generate(pop, config.scenario, config.n, rng)
             for _ in range(config.periods)
         ]
         eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
