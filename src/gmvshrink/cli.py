@@ -190,7 +190,7 @@ def _refuse_output_collisions(args):
         ("--input", args.input),
         ("--weights-file", args.weights_file),
         ("--out", args.out),
-        ("--wealth-out", getattr(args, "wealth_out", None)),  # backtest only
+        ("--wealth-out", args.wealth_out),
     ):
         if path not in (None, "-"):
             key = os.path.realpath(path)
@@ -328,13 +328,9 @@ def _build_parser():
         help=f"allow more than {DESK_SCALE_REPS} repetitions",
     )
 
-    def add_file_args(cmd):
+    def add_file_args(cmd, strategies):
         cmd.add_argument("--input", required=True, help="returns CSV path")
-        cmd.add_argument(
-            "--strategy",
-            required=True,
-            choices=[str(s) for s in STRATEGY_IDS] + [EXTERNAL_STRATEGY],
-        )
+        cmd.add_argument("--strategy", required=True, choices=strategies)
         cmd.add_argument("--n", required=True, type=int, help="window length in days")
         cmd.add_argument(
             "--T",
@@ -343,22 +339,25 @@ def _build_parser():
             help="number of windows (default: as many as fit)",
         )
         cmd.add_argument("--seed", required=True, type=int)
-        cmd.add_argument("--drift", action="store_true", help="let holdings drift within periods")
-        cmd.add_argument(
-            "--weights-file",
-            default=None,
-            help="per-period weights CSV, required with --strategy external",
-        )
         cmd.add_argument("--out", default="-", help="output path, '-' for stdout")
 
+    strategy_ids = [str(s) for s in STRATEGY_IDS]
     bt = sub.add_parser("backtest", help="run one strategy over a returns file")
-    add_file_args(bt)
+    add_file_args(bt, strategy_ids + [EXTERNAL_STRATEGY])
+    bt.add_argument("--drift", action="store_true", help="let holdings drift within periods")
+    bt.add_argument(
+        "--weights-file",
+        default=None,
+        help="per-period weights CSV, required with --strategy external",
+    )
     bt.add_argument(
         "--wealth-out", default=None, help="also write the per-day wealth CSV here"
     )
 
+    # fitted weights do not depend on drift, and replayed ones are the input
     wt = sub.add_parser("weights", help="export per-period weight vectors")
-    add_file_args(wt)
+    add_file_args(wt, strategy_ids)
+    wt.set_defaults(drift=False, weights_file=None, wealth_out=None)
 
     rmt = sub.add_parser(
         "check-rmt", help="closed-form limits vs Monte Carlo quadratic forms"

@@ -87,13 +87,13 @@ def _commands():
                 "--seed", "5", "--form", form, "--tails", tails,
             ), stdout=f"check_rmt_{form}_{tails}.txt", exit=4 if form == "centered" else 0))
     for strategy in range(1, 8):
-        for drift in (False, True):
+        common = ("--input", RETURNS, "--strategy", str(strategy), "--n", WINDOW, "--seed", "7")
+        # weights has no --drift: holdings drifting between rebalances move no fitted weight
+        commands.append(Command(("weights", *common, "--out", f"{{out}}/weights_s{strategy}.csv")))
+        for drift in ((), ("--drift",)):
             tag = f"s{strategy}{'_drift' if drift else ''}"
-            common = ("--input", RETURNS, "--strategy", str(strategy), "--n", WINDOW,
-                      "--seed", "7") + (("--drift",) if drift else ())
-            commands.append(Command(("weights", *common, "--out", f"{{out}}/weights_{tag}.csv")))
             commands.append(Command((
-                "backtest", *common, "--out", f"{{out}}/backtest_{tag}.txt",
+                "backtest", *common, *drift, "--out", f"{{out}}/backtest_{tag}.txt",
                 "--wealth-out", f"{{out}}/backtest_{tag}_wealth.csv",
             )))
     commands.append(Command((

@@ -6,11 +6,13 @@ Covers:
 - holding semantics: weights lag one window, tails are held, nothing
   is evaluated before the first rebalance
 - drift mode, external weights, ruin handling and input validation
+- drift leaving every fitted weight bit-identical, for every strategy
 - weights that follow a permutation of the assets and ignore the scale
   of the returns, for every strategy
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,11 @@ from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
 )
+from gmvshrink.dataio import read_returns_csv
 from gmvshrink.sim import build_population, generate
 from gmvshrink.strategies import STRATEGY_IDS
+
+GOLDEN_RETURNS = Path(__file__).resolve().parent / "golden" / "returns.csv"
 
 
 def _daily_returns(p, days, seed, scale=0.01):
@@ -270,6 +275,22 @@ def test_drift_mode_lets_holdings_ride():
     np.testing.assert_allclose(
         np.diff(drift.wealth_path) / drift.wealth_path[:-1], [0.05, expected_second]
     )
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [RebalanceSchedule.uniform(100, 5), RebalanceSchedule((60, 90, 120, 75))],
+    ids=["uniform-with-leftover", "mixed"],
+)
+@pytest.mark.parametrize("strategy", STRATEGY_IDS)
+def test_drift_moves_no_fitted_weight(strategy, schedule):
+    """Each period's weights come from the estimation windows alone, so
+    letting holdings drift between rebalances leaves every bit in place."""
+    _, _, returns = read_returns_csv(GOLDEN_RETURNS)
+    target = np.full(returns.shape[0], 1.0 / returns.shape[0])
+    rebalanced, _ = run_backtest(returns, strategy, schedule, target, drift=False)
+    drifted, _ = run_backtest(returns, strategy, schedule, target, drift=True)
+    assert [w.tobytes() for w in drifted] == [w.tobytes() for w in rebalanced]
 
 
 def _drifting_day_returns(weights, block):

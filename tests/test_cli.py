@@ -8,11 +8,13 @@ Covers:
   among them) refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
-- README.md naming exactly the options the parser defines
+- README.md naming exactly the options the parser defines, and each
+  README example parsing as its subcommand
 """
 
 import argparse
 import re
+import shlex
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -472,7 +474,6 @@ def test_weights_file_only_with_external_strategy(tmp_path, capsys):
         ("backtest", ["--out", "link.csv"]),
         ("backtest", ["--out", "same.txt", "--wealth-out", "./same.txt"]),
         ("backtest", ["--strategy", "external", "--weights-file", "w.csv", "--out", "w.csv"]),
-        ("weights", ["--strategy", "external", "--weights-file", "w.csv", "--out", "./w.csv"]),
     ],
 )
 def test_output_naming_another_file_of_the_run_is_config_error(
@@ -493,6 +494,27 @@ def test_output_naming_another_file_of_the_run_is_config_error(
     assert captured.err.startswith("gmvshrink: config error: ")
     assert "names the same file as" in captured.err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--strategy", "2", "--drift"], ["--strategy", "external", "--weights-file", "w.csv"]],
+    ids=["drift", "external"],
+)
+def test_weights_refuses_the_backtest_only_options(tmp_path, monkeypatch, capsys, flags):
+    """Drift moves no fitted weight and a replay would only copy its input,
+    so ``weights`` has neither option; ``backtest`` keeps both."""
+    monkeypatch.chdir(tmp_path)
+    _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
+    (tmp_path / "w.csv").write_text("period,a0,a1,a2\n1,0.2,0.3,0.5\n2,0.2,0.3,0.5\n")
+    common = ["--input", "r.csv", "--n", "10", "--T", "2", "--seed", "1", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", *common, "--out", "out.csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out.csv").exists()
+    assert main(["backtest", *common, "--out", "out.txt"]) == 0
+    assert "report-version: 1" in (tmp_path / "out.txt").read_text()
 
 
 def test_standard_output_is_exempt_from_the_collision_check(tmp_path, capsys):
@@ -760,3 +782,13 @@ def test_readme_names_exactly_the_parser_options():
     tokens = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
     assert sorted(options - tokens) == [], "options the README does not name"
     assert sorted(tokens - options - _README_EXTRA_TOKENS) == [], "README tokens that are no option"
+
+
+def test_readme_examples_parse_as_their_subcommands():
+    """Every README line that runs ``gmvshrink <subcommand>`` must parse, so
+    an option shown with a subcommand that lacks it is caught."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^gmvshrink \S.*$", readme, flags=re.MULTILINE)
+    assert len(examples) >= 4
+    for example in examples:
+        _build_parser().parse_args(shlex.split(example, comments=True)[1:])
