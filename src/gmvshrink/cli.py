@@ -45,10 +45,10 @@ from .core import (  # noqa: E402
 )
 from .dataio import (  # noqa: E402
     DataFileError,
-    config_hash,
     read_external_weights,
     read_returns_csv,
     write_loss_table,
+    write_metadata,
     write_perf_report,
     write_wealth_csv,
     write_weights_csv,
@@ -275,9 +275,7 @@ def _cmd_check_rmt(args):
         "form": args.form,
         "tails": args.tails,
     }
-    out.write(f"# config-hash: {config_hash(metadata)}\n")
-    for key in metadata:
-        out.write(f"# {key}: {metadata[key]}\n")
+    write_metadata(out, metadata)
     header = f"{'kind':<16} {'target':>12} {'mc_mean':>12} {'stderr':>12} {'rel_err':>10} {'tol':>6} status\n"
     out.write(header)
     failed = 0

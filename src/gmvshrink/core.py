@@ -9,6 +9,7 @@ vectors are length ``p`` and sum to one.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,15 @@ def sample_moments(returns):
     deviations = block - mean[:, None]
     cov = deviations @ deviations.T / (n - 1)
     return mean, cov
+
+
+def mean_and_stderr(values):
+    """Sample mean and its standard error; NaN and 0 when empty, 0 error for one value."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return float("nan"), 0.0
+    stderr = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), float(stderr)
 
 
 def solve_spd(mat, rhs, n_obs=None):

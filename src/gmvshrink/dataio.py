@@ -343,7 +343,7 @@ def read_external_weights(path, asset_names=None):
     return list(np.ascontiguousarray(values.T))
 
 
-def _write_metadata(handle, metadata):
+def write_metadata(handle, metadata):
     """Metadata comment lines, closed by the hash of the metadata."""
     for key in metadata:
         handle.write(f"# {key}: {metadata[key]}\n")
@@ -353,7 +353,7 @@ def _write_metadata(handle, metadata):
 def write_loss_table(table, path):
     """Serialize a LossTable to CSV: metadata comment lines, then each LossRow in field order."""
     with _open_out(path) as handle:
-        _write_metadata(handle, table.metadata)
+        write_metadata(handle, table.metadata)
         handle.write("scenario,strategy,period,c,mean_loss,stderr,failed_reps\n")
         for row in table.rows:
             handle.write(",".join(map(_fmt, row)) + "\n")
@@ -379,7 +379,7 @@ def write_perf_report(report, path, metadata):
 def write_wealth_csv(wealth_path, path, metadata):
     """Per-day wealth series as CSV, day 0 holding the starting unit."""
     with _open_out(path) as handle:
-        _write_metadata(handle, metadata)
+        write_metadata(handle, metadata)
         handle.write("day,wealth\n")
         handle.write(
             "".join(f"{day},{_fmt(float(value))}\n" for day, value in enumerate(wealth_path))
@@ -394,7 +394,7 @@ def write_weights_csv(history, asset_names, path, metadata):
             f"{len(history[0])}"
         )
     with _open_out(path) as handle:
-        _write_metadata(handle, metadata)
+        write_metadata(handle, metadata)
         # quoted as needed, so any name the returns header held reads back
         csv.writer(handle, lineterminator="\n").writerow(["period", *asset_names])
         handle.write(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import solve_spd
+from .core import mean_and_stderr, sample_moments, solve_spd
 
 KINDS = ("inv", "inv_sq", "cross", "cross_centered")
 
@@ -120,10 +120,7 @@ def _draw_matrix(rng, p, cols, tails):
 
 
 def _gram(x, center):
-    n = x.shape[1]
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
-    return x @ x.T / (n - 1)
+    return sample_moments(x)[1] if center else x @ x.T / (x.shape[1] - 1)
 
 
 def mc_quadratic_form(spec, kind, reps, seed, tails="normal"):
@@ -181,6 +178,4 @@ def mc_quadratic_form(spec, kind, reps, seed, tails="normal"):
             right = solve_spd(gram_full, xi, n_obs=spec.n + spec.m)
             values[rep] = left @ right
 
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, stderr
+    return mean_and_stderr(values)

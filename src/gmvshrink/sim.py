@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SingularityError, precision_ones_form, relative_loss, require_window
+from .core import SingularityError, mean_and_stderr, precision_ones_form, relative_loss, require_window
 from .strategies import STRATEGY_IDS, weight_sequence
 
 logger = logging.getLogger(__name__)
@@ -408,13 +408,8 @@ def run_experiment(config):
     for strategy in strategies:
         values = losses[strategy]
         ok = ~np.isnan(values[:, 0])
-        n_ok = int(ok.sum())
         for i in range(periods):
-            column = values[ok, i]
-            mean = float(column.mean()) if n_ok else float("nan")
-            stderr = (
-                float(column.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0
-            )
+            mean, stderr = mean_and_stderr(values[ok, i])
             rows.append(
                 LossRow(
                     scenario=config.scenario,

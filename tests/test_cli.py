@@ -8,6 +8,7 @@ Covers:
   among them) refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
+- every output's metadata being closed by the hash of its pairs
 - README.md naming exactly the options the parser defines, and each
   README example parsing as its subcommand
 """
@@ -21,8 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmvshrink import sim
 from gmvshrink.cli import _build_parser, main
-from gmvshrink.dataio import _parse_bulk
+from gmvshrink.core import SingularityError
+from gmvshrink.dataio import _parse_bulk, config_hash
 
 LOSS_HEADER = "scenario,strategy,period,c,mean_loss,stderr,failed_reps"
 
@@ -117,6 +120,46 @@ def test_simulate_rejects_bad_strategy_list(capsys):
         ]
     )
     assert rc == 2
+
+
+def test_simulate_rejects_non_integer_strategy_list(capsys):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "8", "--n", "20",
+            "--strategies", "1,x", "--seed", "1",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gmvshrink: config error: --strategies must be comma-separated integers, got '1,x'\n"
+    )
+
+
+def test_simulate_every_repetition_of_a_strategy_failing_is_numerical_error(
+    monkeypatch, capsys
+):
+    original = sim.weight_sequence
+
+    def failing(blocks, strategy, target):
+        if strategy == 5:
+            raise SingularityError("injected failure", n_assets=len(target))
+        yield from original(blocks, strategy, target)
+
+    monkeypatch.setattr(sim, "weight_sequence", failing)
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "8", "--n", "20",
+            "--T", "2", "--reps", "2", "--strategies", "5,6", "--seed", "1",
+        ]
+    )
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "gmvshrink: numerical error: every repetition failed for strategies [5]"
+    )
 
 
 def test_simulate_rejects_repeated_strategy(capsys):
@@ -360,6 +403,25 @@ def test_backtest_missing_file_is_data_error(tmp_path, capsys):
     )
     assert rc == 3
     assert capsys.readouterr().err.startswith("gmvshrink: data error:")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", ": file is empty"),
+        ("date,a,,b\n2020-01-01,0.1,0.2,0.3\n", ", line 1: empty asset column name"),
+        ("date\n2020-01-01\n", ", line 1: no asset columns"),
+    ],
+    ids=["empty-file", "empty-asset-name", "no-asset-columns"],
+)
+def test_backtest_malformed_returns_header_is_data_error(tmp_path, capsys, content, message):
+    path = tmp_path / "r.csv"
+    path.write_text(content)
+    rc = main(["backtest", "--input", str(path), "--strategy", "6", "--n", "5", "--seed", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmvshrink: data error: {path}{message}\n"
 
 
 def test_backtest_window_too_short_for_estimation(tmp_path, capsys):
@@ -757,6 +819,50 @@ def test_seed_beyond_64_bits_is_accepted(capsys, command):
 def test_unknown_subcommand_is_a_parse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# metadata
+# ---------------------------------------------------------------------------
+
+
+def _assert_closed_by_hash(what, lines):
+    """``lines`` are ``key: value`` pairs closed by one ``config-hash`` of the rest."""
+    pairs = [line.split(": ", 1) for line in lines]
+    assert all(len(pair) == 2 for pair in pairs), what
+    *metadata, (last, digest) = pairs
+    assert last == "config-hash", what
+    assert "config-hash" not in dict(metadata), what
+    assert digest == config_hash(dict(metadata)), what
+
+
+def test_every_output_closes_its_metadata_with_its_hash(tmp_path, capsys):
+    csv_path = _write_returns(tmp_path / "r.csv", p=4, days=60, seed=2)
+    file_args = ["--input", str(csv_path), "--strategy", "1", "--n", "20", "--seed", "1"]
+    paths = {name: str(tmp_path / name) for name in ("loss.csv", "weights.csv", "wealth.csv")}
+    report = tmp_path / "report.txt"
+    assert main(
+        ["simulate", "--scenario", "t5", "--p", "8", "--n", "20", "--T", "2", "--reps", "2",
+         "--strategies", "6", "--seed", "1", "--out", paths["loss.csv"]]
+    ) == 0
+    assert main(["weights", *file_args, "--out", paths["weights.csv"]]) == 0
+    assert main(
+        ["backtest", *file_args, "--out", str(report), "--wealth-out", paths["wealth.csv"]]
+    ) == 0
+    capsys.readouterr()
+    assert main(["check-rmt", "--p", "10", "--n", "30", "--reps", "2", "--seed", "1"]) in (0, 4)
+    texts = {name: Path(path).read_text() for name, path in paths.items()}
+    texts["check-rmt"] = capsys.readouterr().out
+
+    for name, text in texts.items():
+        comments = [line for line in text.splitlines() if line.startswith("#")]
+        assert all(line.startswith("# ") for line in comments), name
+        _assert_closed_by_hash(name, [line[2:] for line in comments])
+
+    lines = report.read_text().splitlines()
+    assert lines[0] == "report-version: 1"
+    end = next(i for i, line in enumerate(lines) if line.startswith("config-hash: "))
+    _assert_closed_by_hash("report", lines[1 : end + 1])
 
 
 # ---------------------------------------------------------------------------

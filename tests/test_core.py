@@ -2,6 +2,7 @@
 
 Covers:
 - sample moments (hand values, projector identity)
+- the Monte Carlo mean and its standard error
 - minimum-variance weights (identity/diagonal cases, singular input)
 - portfolio variance and relative loss
 - the consistent target-loss estimator and its clamp
@@ -23,6 +24,7 @@ from gmvshrink.core import (
     as_weight_vector,
     estimate_target_loss_from_cov,
     gmv_weights,
+    mean_and_stderr,
     portfolio_variance,
     precision_ones_form,
     relative_loss,
@@ -60,6 +62,16 @@ def test_sample_moments_single_asset():
     mean, cov = sample_moments(np.array([[1.0, 3.0]]))
     assert mean[0] == pytest.approx(2.0)
     assert cov[0, 0] == pytest.approx(2.0)
+
+
+def test_mean_and_stderr_hand_values_and_small_samples():
+    # mean 2.5, sample variance 5/3, so the error is sqrt(5/3) / 2
+    mean, stderr = mean_and_stderr(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert mean == 2.5
+    assert stderr == pytest.approx(np.sqrt(5.0 / 3.0) / 2.0, rel=1e-15)
+    assert mean_and_stderr([7.0]) == (7.0, 0.0)
+    mean, stderr = mean_and_stderr(np.empty(0))
+    assert np.isnan(mean) and stderr == 0.0
 
 
 def test_sample_moments_projector_identity():
