@@ -52,6 +52,8 @@ _EXPORTS = {
     # backtest engine
     "RebalanceSchedule": "backtest",
     "PerfReport": "backtest",
+    "fit_weights": "backtest",
+    "evaluate_weights": "backtest",
     "run_backtest": "backtest",
     "performance_measures": "backtest",
     "turnover": "backtest",

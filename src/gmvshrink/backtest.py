@@ -1,13 +1,12 @@
 """Rebalancing backtest engine and performance measurement.
 
-Applies one portfolio strategy to a long return series on a schedule of
-estimation windows. At the end of every window the strategy is fitted on
-the data seen so far and the resulting target weights are recorded; those
-weights are then held over the following window (and over any leftover
-days after the last window). A weight history recorded elsewhere can be
-replayed through the same evaluation in place of a strategy. Daily
-portfolio returns, the compounded wealth path and a set of weight
-statistics are collected into a single report.
+Fitting and evaluating are separate calls. :func:`fit_weights` fits one
+strategy at the end of each scheduled estimation window, on the data
+seen so far, and records its weights. :func:`evaluate_weights` holds
+each recorded vector, fitted or recorded elsewhere, over the following
+window (the last also over any leftover days) and collects the daily
+portfolio returns, the compounded wealth path and the weight statistics
+into one report. :func:`run_backtest` is the two calls in sequence.
 
 Within a holding period the default accounting applies the recorded
 weights to each daily return vector. A drift mode is available in which
@@ -19,7 +18,6 @@ outperforms the portfolio.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -241,53 +239,46 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
     return np.concatenate(day_returns or [np.empty(0)])
 
 
-def run_backtest(returns, strategy, schedule, target, drift=False):
-    """Backtest one strategy over a scheduled return series.
-
-    Parameters
-    ----------
-    returns : array_like
-        Full return series, assets in rows and days in columns. Must
-        cover at least the scheduled windows; extra trailing days are
-        held with the final weights.
-    strategy : int or sequence of array_like
-        What to evaluate, in one argument: a strategy id in
-        :data:`~gmvshrink.strategies.STRATEGY_IDS`, which is fitted on the
-        series, or the per-period weight vectors themselves, one per
-        scheduled period, which are replayed as given. Any other ``str``
-        or integer is an unknown strategy.
-    schedule : RebalanceSchedule
-    target : array_like
-        Shrinkage target and pre-backtest holding, used as the baseline
-        of the first turnover move.
-    drift : bool
-        Let holdings evolve with prices within each holding period
-        instead of applying the recorded weights to every day.
-
-    Returns
-    -------
-    (list of per-period weight vectors, PerfReport)
-    """
+def _checked_inputs(returns, schedule, target):
+    """The returns as a validated block covering ``schedule``, and the target."""
     returns = as_returns_block(returns, min_obs=1)
     p, total_days = returns.shape
-    target = as_weight_vector(target, n_assets=p)
     if total_days < schedule.total_observations:
         raise InsufficientSampleError(
             f"series has {total_days} observations, schedule needs "
             f"{schedule.total_observations}"
         )
+    return returns, as_weight_vector(target, n_assets=p)
 
-    if isinstance(strategy, (str, numbers.Integral)):
-        # weight_sequence raises the unknown-strategy ValueError
-        blocks = [returns[:, a:b] for a, b in schedule.spans()]
-        history = list(weight_sequence(blocks, strategy, target))
-    else:
-        if len(strategy) != schedule.period_count:
-            raise DimensionError(
-                f"got {len(strategy)} weight vectors for "
-                f"{schedule.period_count} periods"
-            )
-        history = [as_weight_vector(w, n_assets=p) for w in strategy]
+
+def fit_weights(returns, strategy, schedule, target):
+    """Per-period weights of a strategy id fitted on each scheduled window.
+
+    The weights recorded after window ``i`` see the series up to its end.
+    """
+    returns, target = _checked_inputs(returns, schedule, target)
+    # weight_sequence raises the unknown-strategy ValueError
+    blocks = [returns[:, a:b] for a, b in schedule.spans()]
+    return list(weight_sequence(blocks, strategy, target))
+
+
+def evaluate_weights(returns, history, schedule, target, drift=False):
+    """The :class:`PerfReport` of a weight history, one vector per period.
+
+    ``returns`` holds assets in rows and days in columns and must cover
+    the scheduled windows; extra trailing days are held with the final
+    weights. ``history`` is what :func:`fit_weights` returns or weights
+    recorded elsewhere. ``target`` is the holding before the first
+    rebalance, the baseline of the first turnover move. ``drift`` lets
+    holdings evolve with prices within each holding period instead of
+    applying the recorded weights to every day.
+    """
+    returns, target = _checked_inputs(returns, schedule, target)
+    if len(history) != schedule.period_count:
+        raise DimensionError(
+            f"got {len(history)} weight vectors for {schedule.period_count} periods"
+        )
+    history = [as_weight_vector(w, n_assets=target.shape[0]) for w in history]
 
     stats = performance_measures(history)
     move = turnover(history, target)
@@ -302,8 +293,13 @@ def run_backtest(returns, strategy, schedule, target, drift=False):
     sharpe_defined = volatility > 0.0
     sharpe = mean_return / volatility if sharpe_defined else 0.0
 
-    report = PerfReport(
+    return PerfReport(
         *stats, mean_return, volatility, sharpe, sharpe_defined, move,
         wealth.path[-1], wealth.worst_daily_change, wealth.ruined, wealth.path,
     )
-    return history, report
+
+
+def run_backtest(returns, strategy, schedule, target, drift=False):
+    """Fit a strategy id and evaluate its weights: ``(history, PerfReport)``."""
+    history = fit_weights(returns, strategy, schedule, target)
+    return history, evaluate_weights(returns, history, schedule, target, drift)

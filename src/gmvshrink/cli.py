@@ -2,10 +2,10 @@
 
 Four subcommands: ``simulate`` runs the Monte Carlo strategy comparison
 and writes a loss-table CSV, ``backtest`` runs one strategy over a
-returns file and writes a performance report, ``weights`` exports the
-per-period weight vectors of such a run, and ``check-rmt`` compares the
-closed-form limits of the random quadratic forms against Monte Carlo
-estimates.
+returns file and writes a performance report, ``weights`` fits a
+strategy on a returns file and writes its per-period weight vectors
+without evaluating them, and ``check-rmt`` compares the closed-form
+limits of the random quadratic forms against Monte Carlo estimates.
 
 Every command requires an explicit ``--seed`` and is deterministic:
 repeated invocations produce byte-identical output. To keep that true
@@ -36,7 +36,7 @@ for _var in _THREAD_VARS:
 
 import numpy as np  # noqa: E402  (thread pinning above must come first)
 
-from .backtest import RebalanceSchedule, run_backtest  # noqa: E402
+from .backtest import RebalanceSchedule, evaluate_weights, fit_weights  # noqa: E402
 from .core import (  # noqa: E402
     DegenerateInputError,
     DimensionError,
@@ -200,6 +200,7 @@ def _refuse_output_collisions(args):
 
 
 def _run_file_backtest(args):
+    """Read the returns, then fit the strategy or read the weights file."""
     strategy = _strategy_arg(args)
     _refuse_output_collisions(args)
     _at_least_one("--n", args.n)
@@ -214,11 +215,11 @@ def _run_file_backtest(args):
             f"series has {total_days} observations, shorter than one window of {args.n}"
         )
     schedule = RebalanceSchedule.uniform(args.n, periods)
+    target = np.full(p, 1.0 / p)
     if strategy == EXTERNAL_STRATEGY:
-        strategy = read_external_weights(args.weights_file, asset_names=names)
-    history, report = run_backtest(
-        returns, strategy, schedule, np.full(p, 1.0 / p), drift=args.drift
-    )
+        history = read_external_weights(args.weights_file, asset_names=names)
+    else:
+        history = fit_weights(returns, strategy, schedule, target)
     metadata = {
         "command": args.command,
         "input": args.input,
@@ -231,11 +232,12 @@ def _run_file_backtest(args):
         "first-date": dates[0].isoformat(),
         "last-date": dates[-1].isoformat(),
     }
-    return names, history, report, metadata
+    return names, metadata, history, returns, schedule, target
 
 
 def _cmd_backtest(args):
-    names, history, report, metadata = _run_file_backtest(args)
+    _, metadata, history, returns, schedule, target = _run_file_backtest(args)
+    report = evaluate_weights(returns, history, schedule, target, drift=args.drift)
     write_perf_report(report, args.out, metadata)
     if args.wealth_out is not None:
         write_wealth_csv(report.wealth_path, args.wealth_out, metadata)
@@ -243,7 +245,7 @@ def _cmd_backtest(args):
 
 
 def _cmd_weights(args):
-    names, history, report, metadata = _run_file_backtest(args)
+    names, metadata, history, *_ = _run_file_backtest(args)
     write_weights_csv(history, names, args.out, metadata)
     return EXIT_OK
 

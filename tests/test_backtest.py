@@ -6,6 +6,8 @@ Covers:
 - holding semantics: weights lag one window, tails are held, nothing
   is evaluated before the first rebalance
 - drift mode, external weights, ruin handling and input validation
+- fitting then evaluating reproducing ``run_backtest`` field for field,
+  for every strategy, with and without drift
 - drift leaving every fitted weight bit-identical, for every strategy
 - weights that follow a permutation of the assets and ignore the scale
   of the returns, for every strategy
@@ -20,6 +22,8 @@ import pytest
 from gmvshrink.backtest import (
     RebalanceSchedule,
     _holding_day_returns,
+    evaluate_weights,
+    fit_weights,
     performance_measures,
     run_backtest,
     turnover,
@@ -268,8 +272,8 @@ def test_drift_mode_lets_holdings_ride():
     schedule = RebalanceSchedule.uniform(2, 2)
     target = np.array([0.5, 0.5])
     external = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-    _, fixed = run_backtest(returns, external, schedule, target)
-    _, drift = run_backtest(returns, external, schedule, target, drift=True)
+    fixed = evaluate_weights(returns, external, schedule, target)
+    drift = evaluate_weights(returns, external, schedule, target, drift=True)
     np.testing.assert_allclose(np.diff(fixed.wealth_path) / fixed.wealth_path[:-1], [0.05, 0.05])
     expected_second = (0.55 / 1.05) * 0.1
     np.testing.assert_allclose(
@@ -437,7 +441,7 @@ def test_ruin_truncates_moments():
     returns = np.array([[0.5, 0.3, -1.2, 0.1]])
     schedule = RebalanceSchedule((1, 3))
     target = np.array([1.0])
-    _, report = run_backtest(returns, [target, target], schedule, target)
+    report = evaluate_weights(returns, [target, target], schedule, target)
     assert report.ruined
     # only the two days up to the wipe-out enter the moments
     assert report.mean_return == pytest.approx(np.mean([0.3, -1.2]))
@@ -446,28 +450,33 @@ def test_ruin_truncates_moments():
 
 
 # ---------------------------------------------------------------------------
-# run_backtest: external weights and validation
+# fit_weights / evaluate_weights / run_backtest: replay and validation
 # ---------------------------------------------------------------------------
 
 
-def test_external_weights_reproduce_strategy_run():
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGY_IDS)
+def test_external_weights_reproduce_strategy_run(strategy, drift):
     p = 4
     returns = _daily_returns(p, 30, seed=5)
     schedule = RebalanceSchedule.uniform(10, 3)
     target = np.full(p, 0.25)
-    history, report = run_backtest(returns, 5, schedule, target)
-    replay_history, replay_report = run_backtest(returns, history, schedule, target)
-    assert report == replay_report
-    for got, expected in zip(replay_history, history):
+    history, report = run_backtest(returns, strategy, schedule, target, drift=drift)
+    fitted = fit_weights(returns, strategy, schedule, target)
+    for got, expected in zip(fitted, history, strict=True):
         np.testing.assert_array_equal(got, expected)
+    replayed = evaluate_weights(returns, fitted, schedule, target, drift=drift)
+    for field, got, expected in zip(report._fields, replayed, report, strict=True):
+        assert got == expected, field
+    assert replayed == report
 
 
 def test_external_weight_count_must_match_periods():
     p = 3
     returns = _daily_returns(p, 20, seed=7)
     schedule = RebalanceSchedule.uniform(10, 2)
-    with pytest.raises(DimensionError):
-        run_backtest(returns, [np.full(p, 1 / 3)], schedule, np.full(p, 1 / 3))
+    with pytest.raises(DimensionError, match="^got 1 weight vectors for 2 periods$"):
+        evaluate_weights(returns, [np.full(p, 1 / 3)], schedule, np.full(p, 1 / 3))
 
 
 def test_unknown_strategy_identifier():

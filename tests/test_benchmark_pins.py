@@ -4,9 +4,10 @@
 and counts: the module aliases it rebinds and the Cholesky calls and
 distinct matrices of one traced ``monte-carlo`` cycle. Its file name keeps
 it out of the default collection, so a test runs it in a subprocess from
-the repository root. A second test puts one untraced ``backtest-file``
-cycle through the benchmark client's output checks the same way, so a
-change to ``weights`` or ``backtest`` that the client refuses fails here.
+the repository root. Two more tests put one ``backtest-file`` cycle
+through the benchmark client's output checks the same way, untraced and
+traced, so a change to ``weights`` or ``backtest`` that the client
+refuses, or that the tracer's rebound functions break, fails here.
 """
 
 import json
@@ -29,28 +30,44 @@ def test_tracer_checks_pass():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-#: one backtest-file command group; prints each command's error, None if it passed
+#: one backtest-file command group, traced when argv[2] is "1"; prints each
+#: command's error (None if it passed) and, traced, the tracer's error count
 _BACKTEST_FILE_CYCLE = textwrap.dedent("""
     import json, sys
     sys.path[:0] = ["src", "perfbench"]
     import client  # first: imports gmvshrink.cli, which pins BLAS threads
     from inputs import returns_file
 
-    work = sys.argv[1]
-    job = {"workload": "backtest-file", "seed": 7, "seconds": 0, "trace": 0,
+    work, trace = sys.argv[1], int(sys.argv[2])
+    job = {"workload": "backtest-file", "seed": 7, "seconds": 0, "trace": trace,
            "work_dir": work, "input": returns_file(7, work)}
+    if trace:
+        spec = json.load(open("BENCHMARK.json"))
+        job["layer_metrics"] = [m["name"] for m in spec["per_layer"]]
     result = client.run_job(job)
-    print(json.dumps([c["error"] for c in result["timed"] + result["extra"]]))
+    errors = [c["error"] for c in result["timed"] + result["extra"]]
+    print(json.dumps([errors, result.get("layers", {}).get("trace.errors")]))
 """)
 
 
-def test_backtest_file_cycle_passes_the_client_checks(tmp_path):
+def _backtest_file_cycle(work, trace):
     result = subprocess.run(
-        [sys.executable, "-c", _BACKTEST_FILE_CYCLE, str(tmp_path)],
+        [sys.executable, "-c", _BACKTEST_FILE_CYCLE, str(work), str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    errors = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_backtest_file_cycle_passes_the_client_checks(tmp_path):
+    errors, _ = _backtest_file_cycle(tmp_path, trace=0)
     assert errors and errors == [None] * len(errors), errors
+
+
+def test_traced_backtest_file_cycle_passes_the_client_checks(tmp_path):
+    # the client also checks that tracing leaves every output unchanged
+    errors, trace_errors = _backtest_file_cycle(tmp_path, trace=1)
+    assert errors and errors == [None] * len(errors), errors
+    assert trace_errors == 0

@@ -8,6 +8,8 @@ Covers:
   among them) refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
+- ``weights`` fitting only: it never evaluates its weight history, so an
+  error only evaluation raises (wealth overflow) is a ``backtest`` error
 - every output's metadata being closed by the hash of its pairs
 - README.md naming exactly the options the parser defines, and each
   README example parsing as its subcommand
@@ -22,12 +24,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmvshrink import sim
+from gmvshrink import backtest, sim
 from gmvshrink.cli import _build_parser, main
 from gmvshrink.core import SingularityError
 from gmvshrink.dataio import _parse_bulk, config_hash
 
 LOSS_HEADER = "scenario,strategy,period,c,mean_loss,stderr,failed_reps"
+GOLDEN_RETURNS = Path(__file__).resolve().parent / "golden" / "returns.csv"
 
 
 def _write_returns(path, p, days, seed, scale=0.01):
@@ -636,6 +639,60 @@ def test_weights_export_roundtrips_through_external_backtest(tmp_path, capsys):
 
     for key in ("mean_return", "volatility", "turnover", "final_wealth"):
         assert float(replayed[key]) == pytest.approx(float(direct[key]), rel=1e-9)
+
+
+@pytest.mark.parametrize("strategy", ["1", "2", "3", "4", "5", "6", "7"])
+def test_weights_never_evaluates(tmp_path, monkeypatch, capsys, strategy):
+    common = ["--input", str(GOLDEN_RETURNS), "--strategy", strategy, "--n", "55", "--seed", "7"]
+    assert main(["weights", *common, "--out", str(tmp_path / "plain.csv")]) == 0
+
+    def evaluation(*args, **kwargs):
+        raise AssertionError("the weight history was evaluated")
+
+    monkeypatch.setattr(backtest, "wealth_and_drawdown", evaluation)
+    monkeypatch.setattr(backtest, "performance_measures", evaluation)
+    with pytest.raises(AssertionError, match="was evaluated"):
+        main(["backtest", *common])  # the patch reaches evaluation
+    assert main(["weights", *common, "--out", str(tmp_path / "patched.csv")]) == 0
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_wealth_overflow_is_a_backtest_error_not_a_weights_error(tmp_path, capsys):
+    data = 0.01 * np.random.default_rng(43).standard_normal((3, 400))
+    data[0] = 99.0  # constant, so not refused as prices; wealth grows 34x a day
+    csv_path = _write_table(tmp_path / "r.csv", data)
+    common = ["--input", str(csv_path), "--strategy", "6", "--n", "10", "--seed", "1"]
+
+    assert main(["weights", *common]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = _data_lines(captured.out)
+    assert rows[0] == "period,a0,a1,a2"
+    assert rows[1:] == [f"{t},0.333333333333,0.333333333333,0.333333333333" for t in range(1, 41)]
+
+    assert main(["backtest", *common]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gmvshrink: data error: wealth overflows on day 202 of the holding span; "
+        "the cells may be prices rather than returns\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["weights", "backtest"])
+def test_schedule_longer_than_the_series_is_data_error(tmp_path, capsys, command):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=40, seed=47)
+    rc = main(
+        [command, "--input", str(csv_path), "--strategy", "6",
+         "--n", "10", "--T", "5", "--seed", "1"]
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gmvshrink: data error: series has 40 observations, schedule needs 50\n"
+    )
 
 
 def _edit_asset_columns(text, edit):
