@@ -135,7 +135,6 @@ def _cmd_simulate(args):
             reps=args.reps,
             seed=args.seed,
             strategies=strategies,
-            literal_sigma=args.literal_sigma,
         )
     table = run_experiment(config)
     all_failed = [
@@ -316,12 +315,6 @@ def _build_parser():
     )
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    sim.add_argument(
-        "--literal-sigma",
-        action="store_true",
-        help="evaluate losses against the innovation covariance even when "
-        "the scenario's true return covariance differs",
-    )
     sim.add_argument(
         "--full",
         action="store_true",

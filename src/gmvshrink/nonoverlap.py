@@ -12,22 +12,18 @@ the loss carry the excess ``kappa = K - 1`` of the mixing coefficient over
 one (:func:`cross_excess`; the limit forms are in
 :mod:`gmvshrink.overlap`). Fresh windows share nothing, so ``kappa`` is
 exactly zero and the formulas reduce bit for bit to their one-window forms.
-Both window kinds run the same :func:`init` and :func:`step`, and every
-mode the same one-period recursion (intensity, advanced loss and the
-target's remaining share). The modes differ only in where it starts:
+Both window kinds run the same :func:`init` and :func:`step`, and both
+modes the same one-period recursion (intensity, advanced loss and the
+target's remaining share). The target is a deterministic weight vector in
+either mode; the modes differ only in where the recursion starts:
 
 ``fixed``
-    The target is a deterministic weight vector; its loss is estimated once
-    from the first window, and each step advances the recursion one period.
+    The target loss is estimated once from the first window, and each step
+    advances the recursion one period.
 ``replay``
     The target loss is re-estimated each period from the pooled sample of
     all windows so far, and the recursion is rerun from it over the past
     window sizes before the current period is advanced.
-``prior-sample``
-    The target is the sample minimum-variance portfolio of a prior window
-    of size ``n0``; its limiting loss ``p / (n0 - p)`` is known exactly, so
-    the whole intensity schedule is deterministic given the window sizes.
-    Each step advances it one period, as in fixed mode.
 """
 
 from __future__ import annotations
@@ -48,11 +44,10 @@ from .core import (
     estimate_target_loss_from_cov,
     gmv_weights,
     require_window,
-    sample_gmv_weights,
     sample_moments,
 )
 
-MODES = ("fixed", "replay", "prior-sample")
+MODES = ("fixed", "replay")
 
 
 def optimal_intensity(c, prev_loss):
@@ -187,10 +182,10 @@ class ShrinkageState:
     ``N_1 < N_2 < ...`` for extending ones. ``target_share`` is the target's
     remaining share ``prod(1 - psi)`` in the holding portfolio (of the
     replayed schedule in replay mode). ``loss`` is the tracked loss after
-    the last step; before the first it is the known prior-sample loss, or
-    NaN where the first window estimates it. ``pooled`` carries the running
-    sufficient statistics of all blocks so far; it is kept only where they
-    are used, for extending windows and in replay mode.
+    the last step; before the first it is NaN, because the first window
+    estimates it. ``pooled`` carries the running sufficient statistics of
+    all blocks so far; it is kept only where they are used, for extending
+    windows and in replay mode.
     """
 
     n_assets: int
@@ -218,30 +213,19 @@ def init(target, first_block=None, mode="fixed", extending=False):
     Parameters
     ----------
     target : array_like
-        The target weight vector in ``fixed`` and ``replay`` modes; in
-        ``prior-sample`` mode, the prior returns block (``p x n0`` with
-        ``n0 > p + 1``) whose sample minimum-variance portfolio becomes the
-        target, with the exactly known loss ``p / (n0 - p)``.
+        The target weight vector.
     first_block : array_like, optional
         First returns block. When omitted the state holds the pure target
         portfolio and the first call to :func:`step` consumes the first
         block.
-    mode : {"fixed", "replay", "prior-sample"}
+    mode : {"fixed", "replay"}
     extending : bool
         Pool every block into one growing window instead of estimating
         each period from its own block.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode == "prior-sample":
-        prior = as_returns_block(target)
-        p, n0 = prior.shape
-        require_window(p, n0)
-        target_weights = sample_gmv_weights(prior)
-        loss = p / (n0 - p)
-    else:
-        target_weights = as_weight_vector(target)
-        loss = float("nan")  # estimated from the first window
+    target_weights = as_weight_vector(target)
     p = target_weights.shape[0]
     state = ShrinkageState(
         n_assets=p,
@@ -249,7 +233,7 @@ def init(target, first_block=None, mode="fixed", extending=False):
         extending=extending,
         target=target_weights,
         weights=target_weights,
-        loss=loss,
+        loss=float("nan"),  # estimated from the first window
         pooled=PooledStats(p) if extending or mode == "replay" else None,
     )
     if first_block is None:
@@ -293,7 +277,7 @@ def step(state, block):
         )
         loss = losses[-1] if losses else start
         share = math.prod(1.0 - psi for psi in intensities)
-    elif state.mode == "fixed" and state.period == 0:
+    elif state.period == 0:
         loss = estimate_target_loss_from_cov(cov, n, state.target)
     psi, loss, share = _advance(loss, share, n, p, state.extending)
     return replace(

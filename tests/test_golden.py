@@ -58,6 +58,13 @@ def test_command_reproduces_its_golden_outputs(command, tmp_path):
         assert problem is None, f"{name}, {problem}"
 
 
+def test_golden_directory_holds_only_command_outputs_and_inputs():
+    """A command taken out of the list cannot leave its file behind."""
+    kept = {path.name for path in GOLDEN.iterdir() if path.suffix in (".csv", ".txt")}
+    written = {name for command in make_golden.COMMANDS for name in command.outputs}
+    assert kept == written | {make_golden.RETURNS, make_golden.EXTERNAL}
+
+
 def test_comparison_tolerates_only_the_last_printed_digits():
     want = "config-hash: 3e5a01c2d4f6\nmean_loss: 0.389052685602\nperiod: 2 of 2001-01-02\n"
     assert _mismatch(want, want) is None

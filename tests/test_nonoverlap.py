@@ -3,14 +3,17 @@
 Covers:
 - the scalar intensity/loss formulas and their hand values
 - the harmonic-decay identity and monotone risk improvement
-- the three initialization modes (fixed, replay, prior-sample)
+- the two initialization modes (fixed, replay) and their callers
 - bit-for-bit replay reconstruction of the holding weights
 - tracking of the population-optimal intensity on simulated data
 - invariants of the shared pipeline over random window sizes, modes and
   window kinds (a property test)
+- the README's library quick start printing the values its comments show
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from gmvshrink.nonoverlap import (
     step,
 )
 from gmvshrink.sim import build_population
+from gmvshrink.strategies import PIPELINES
 
 
 def _draw_block(pop, n, rng):
@@ -139,46 +143,20 @@ def test_replay_intensities_matches_manual_loop():
 # ---------------------------------------------------------------------------
 
 
-def test_prior_sample_initial_loss():
-    rng = np.random.default_rng(71)
-    state = init(rng.standard_normal((100, 200)), mode="prior-sample")
-    assert state.loss == pytest.approx(1.0)
-    state = init(rng.standard_normal((200, 250)), mode="prior-sample")
-    assert state.loss == pytest.approx(4.0)
-
-
-def test_prior_sample_rejects_short_prior():
-    rng = np.random.default_rng(73)
-    with pytest.raises(InsufficientSampleError):
-        init(rng.standard_normal((100, 101)), mode="prior-sample")
-
-
 @pytest.mark.parametrize(
     "estimate",
     [
         lambda block: estimate_target_loss_from_cov(
             sample_moments(block)[1], block.shape[1], np.full(block.shape[0], 0.1)
         ),
-        lambda block: init(block, mode="prior-sample"),
+        lambda block: step(init(np.full(block.shape[0], 0.1)), block),
     ],
-    ids=["target-loss", "prior-sample"],
+    ids=["target-loss", "step"],
 )
 def test_short_windows_are_refused_with_the_shared_message(estimate):
     block = np.random.default_rng(74).standard_normal((10, 11))
     with pytest.raises(InsufficientSampleError, match=r"estimation windows need n > p \+ 1"):
         estimate(block)
-
-
-def test_prior_sample_schedule_is_deterministic():
-    """Intensities depend only on window sizes, not on the data."""
-    rng = np.random.default_rng(79)
-    p, n0, n = 20, 60, 50
-    prior = rng.standard_normal((p, n0))
-    state = init(prior, mode="prior-sample")
-    for _ in range(4):
-        state = step(state, rng.standard_normal((p, n)))
-    expected, _ = replay_intensities(p / (n0 - p), [n] * 4, p)
-    assert list(state.intensities) == expected
 
 
 def test_fixed_mode_in_sample_target_fully_shrinks_to_target():
@@ -293,7 +271,11 @@ def test_intensity_tracks_population_oracle():
 
 
 def test_module_exports_modes():
-    assert nonoverlap.MODES == ("fixed", "replay", "prior-sample")
+    """The exported modes are exactly those the built-in strategies run,
+    over both window kinds, so a mode that no command reaches cannot come
+    back unnoticed."""
+    assert {mode for mode, _ in PIPELINES.values()} == set(nonoverlap.MODES)
+    assert {extending for _, extending in PIPELINES.values()} == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +306,7 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
     else:
         block_sizes = window_sizes = [p + 2 + k for k in extra]
     blocks = [scales[:, None] * rng.standard_normal((p, n)) for n in block_sizes]
-    if mode == "prior-sample":
-        target = scales[:, None] * rng.standard_normal((p, p + 2 + extra[-1]))
-    else:
-        target = np.full(p, 1.0 / p)
+    target = np.full(p, 1.0 / p)
 
     state = init(target, mode=mode, extending=extending)
     for block in blocks:
@@ -349,16 +328,36 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
         schedule, _ = replay_intensities(start, window_sizes, p, extending)
         assert schedule[-1] == state.intensities[-1]
     else:
-        # fixed and prior-sample steps advance the one recursion a period at
-        # a time: rerunning it from the start loss gives the same bits, the
-        # known p / (n0 - p) or the estimate on the first window
-        if mode == "prior-sample":
-            start = p / (target.shape[1] - p)
-        else:
-            start = estimate_target_loss_from_cov(
-                sample_moments(blocks[0])[1], block_sizes[0], target
-            )
+        # fixed steps advance the one recursion a period at a time:
+        # rerunning it from the estimate on the first window gives the same bits
+        start = estimate_target_loss_from_cov(
+            sample_moments(blocks[0])[1], block_sizes[0], target
+        )
         assert replay_intensities(start, window_sizes, p, extending) == (
             list(state.intensities), [rec.loss for rec in state.history]
         )
     assert state.target_share == math.prod(1.0 - psi for psi in schedule)
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+_NUMBER = re.compile(r"-?\d+\.\d+")
+
+
+def test_readme_library_quick_start_prints_its_comments(capsys):
+    """The README's library example runs, and each printed number matches
+    the one in its line's comment to the decimals shown there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 3
+    for out, comment in zip(printed, comments):
+        got, shown = _NUMBER.findall(out), _NUMBER.findall(comment)
+        assert len(got) == len(shown), (out, comment)
+        for value, text in zip(got, shown):
+            assert round(float(value), len(text.split(".")[1])) == float(text), (out, comment)

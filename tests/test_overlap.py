@@ -204,18 +204,6 @@ def test_schedule_losses_decrease_with_growing_window():
     assert losses[2] < losses[1]
 
 
-def test_prior_sample_schedule_matches_scalar_recursion():
-    """With a prior-window target the whole schedule is data-free."""
-    rng = np.random.default_rng(139)
-    p, n0, n = 20, 60, 50
-    state = init(rng.standard_normal((p, n0)), mode="prior-sample")
-    for _ in range(4):
-        state = step(state, rng.standard_normal((p, n)))
-    expected, _ = replay_intensities(p / (n0 - p), [n, 2 * n, 3 * n, 4 * n], p, extending=True)
-    assert list(state.intensities) == expected
-    assert state.target_share == math.prod(1.0 - psi for psi in expected)
-
-
 def test_target_share_reaching_zero_is_exact(caplog):
     """Once the target's share has gone, K sits at its upper end and the
     recursion stays exact: psi is exactly one and nothing is clamped."""

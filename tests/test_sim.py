@@ -91,9 +91,6 @@ def test_evaluation_cov_per_scenario():
         pop.cov + np.outer(pop.factor_loadings, pop.factor_loadings),
     )
     np.testing.assert_array_equal(pop.evaluation_cov("varma"), pop.stationary_cov)
-    # the literal flag restores the innovation covariance everywhere
-    assert pop.evaluation_cov("capm", literal_sigma=True) is pop.cov
-    assert pop.evaluation_cov("varma", literal_sigma=True) is pop.cov
     with pytest.raises(ValueError):
         pop.evaluation_cov("garch")
 
@@ -281,7 +278,9 @@ def test_metadata_records_configuration():
     table = run_experiment(_small_config())
     assert table.metadata["scenario"] == "t5"
     assert table.metadata["strategies"] == "1,5,6,7"
-    assert table.metadata["literal-sigma"] == "false"
+    assert list(table.metadata) == [
+        "scenario", "p", "n", "periods", "reps", "seed", "strategies"
+    ]
 
 
 def test_hold_target_strategy_loss_is_period_invariant():
@@ -346,7 +345,7 @@ def _strategy_major_rows(config):
             generate(pop, config.scenario, config.n, rng)
             for _ in range(config.periods)
         ]
-        eval_cov = pop.evaluation_cov(config.scenario, config.literal_sigma)
+        eval_cov = pop.evaluation_cov(config.scenario)
         for strategy in config.strategies:
             try:
                 for i, weights in enumerate(sim.weight_sequence(blocks, strategy, target)):
