@@ -18,6 +18,12 @@ from scipy import linalg
 logger = logging.getLogger(__name__)
 
 
+#: least share ``l_kk² / S_kk`` of an asset's variance left once the assets
+#: before it are regressed out; an asset that copies another up to 1e-9 noise
+#: keeps ~1e-14, up to 1e-6 noise ~1e-8; simulated windows at n = p + 2 keep > 2e-6
+PIVOT_RATIO = 1e-12
+
+
 class DimensionError(ValueError):
     """Raised when array shapes are inconsistent with the operation."""
 
@@ -141,18 +147,19 @@ def solve_spd(mat, rhs, n_obs=None):
     Uses a Cholesky factorization only; a factorization failure is reported
     as a :class:`SingularityError` rather than falling back to least squares,
     because every covariance matrix entering the estimators must satisfy
-    ``n > p``.
+    ``n > p``. A matrix that factors but is near-singular (see
+    :data:`PIVOT_RATIO`) is refused the same way.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
     p = mat.shape[0]
+    sample = f" (sample size n={n_obs})" if n_obs is not None else ""
     try:
         factor = linalg.cho_factor(mat, lower=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularityError(
-            f"covariance matrix of dimension p={p} is not positive-definite"
-            + (f" (sample size n={n_obs})" if n_obs is not None else ""),
+            f"covariance matrix of dimension p={p} is not positive-definite{sample}",
             n_assets=p,
             n_obs=n_obs,
         ) from exc
@@ -161,16 +168,18 @@ def solve_spd(mat, rhs, n_obs=None):
     # The floor scales with the largest diagonal entry, so a constant asset,
     # whose variance is itself rounding noise, is caught too. Written as a
     # failed ">" so that a NaN pivot or floor is refused as well.
-    pivots = np.diagonal(factor[0])
-    floor = p * np.finfo(np.float64).eps * np.diagonal(mat).max()
-    if not np.all(pivots * pivots > floor):
-        raise SingularityError(
-            f"covariance matrix of dimension p={p} is numerically singular"
-            + (f" (sample size n={n_obs})" if n_obs is not None else ""),
-            n_assets=p,
-            n_obs=n_obs,
+    squared = np.diagonal(factor[0]) ** 2
+    diagonal = np.diagonal(mat)
+    if not np.all(squared > p * np.finfo(np.float64).eps * diagonal.max()):
+        state = f"numerically singular{sample}"
+    elif not np.all(squared > PIVOT_RATIO * diagonal):
+        state = (
+            f"near-singular{sample}: a squared Cholesky pivot is at most "
+            f"{PIVOT_RATIO:g} of its diagonal entry"
         )
-    return linalg.cho_solve(factor, np.asarray(rhs, dtype=np.float64), check_finite=False)
+    else:
+        return linalg.cho_solve(factor, np.asarray(rhs, dtype=np.float64), check_finite=False)
+    raise SingularityError(f"covariance matrix of dimension p={p} is {state}", n_assets=p, n_obs=n_obs)
 
 
 def _solve_ones(cov, n_obs):

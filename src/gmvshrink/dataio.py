@@ -11,12 +11,12 @@ calls and written straight into the result. Ingest therefore holds the
 result plus one chunk, whatever the width or length of the file. Any file
 the bulk path does not fully accept (a quoted cell, for one) is re-read
 from the start by the strict row parser, which locates the error or, for
-a valid but unusual file, returns the same result; it packs its rows into
-float64 blocks every ``_STRICT_ROWS`` rows and joins the blocks at the
-end. The external-weights CSV has the same shape, with ``period`` in
-place of ``date``, and goes through the same strict parser after the
-``#`` comment lines that precede its header. No path reads a whole file
-into one string.
+a valid but unusual file, returns the same result; it appends every cell
+to one flat float64 buffer and copies its transpose into the result at the
+end, so it holds about twice the result. The external-weights CSV has the
+same shape, with ``period`` in place of ``date``, and goes through the
+same strict parser after the ``#`` comment lines that precede its header.
+No path reads a whole file into one string.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
@@ -26,6 +26,7 @@ that round-trips as the external-weights input of the backtest.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import datetime
@@ -118,10 +119,6 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 #: cell, few enough that a chunk's text and cells stay small beside the
 #: result at any width
 _CHUNK_BYTES = 64 * 1024
-
-#: rows the strict parser holds as Python floats before packing them into
-#: one float64 block
-_STRICT_ROWS = 256
 
 
 def _is_plain(text):
@@ -218,13 +215,6 @@ def _parse_chunk(lines, out, start, dates):
     return stop
 
 
-def _columns(blocks):
-    """One C-contiguous ``p x T`` array from row blocks of shape ``(t, p)``."""
-    out = np.empty((blocks[0].shape[1], sum(len(block) for block in blocks)))
-    np.concatenate(blocks, axis=0, out=out.T)
-    return out
-
-
 def _read_date(cell, dates):
     """The ISO-8601 date in ``cell``, later than every date before it."""
     try:
@@ -262,8 +252,7 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
     names = _asset_names(path, header, key, first_line)
 
     keys = []
-    blocks = []
-    rows = []
+    values = array.array("d")
     # a row starts one line past the last line the reader consumed; records
     # are not counted, as a quoted cell may span lines
     line_no = reader.line_num + first_line
@@ -276,7 +265,6 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
             keys.append(read_key(row[0], keys))
         except ValueError as exc:
             raise DataFileError(f"{path}, line {line_no}, column {key!r}: {exc}") from None
-        values = []
         for name, cell in zip(names, row[1:]):
             if cell.strip() == "":
                 raise DataFileError(
@@ -295,16 +283,10 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
                     f"value {cell!r}"
                 )
             values.append(value)
-        rows.append(values)
-        if len(rows) == _STRICT_ROWS:
-            blocks.append(np.array(rows, dtype=np.float64))
-            rows = []
         line_no = reader.line_num + first_line
-    if rows:
-        blocks.append(np.array(rows, dtype=np.float64))
-    if not blocks:
+    if not keys:
         raise DataFileError(f"{path}: no data rows")
-    return keys, names, _columns(blocks)
+    return keys, names, np.frombuffer(values).reshape(len(keys), len(names)).T.copy()
 
 
 def read_external_weights(path, asset_names=None):

@@ -224,17 +224,13 @@ def generate(pop, scenario, n, rng):
         return np.add(pop.mean[:, None], centered[GARCH_BURN_IN:].T, out=np.empty((p, n)))
 
     # varma: diagonal AR(1) with innovation covariance equal to pop.cov.
-    innovations = (pop.sqrt_cov @ rng.standard_normal((p, n))).T.copy()
+    x = pop.sqrt_cov @ rng.standard_normal((p, n))
     stationary_mean = pop.mean / (1.0 - pop.ar_coeffs)
     prev = stationary_mean + pop.stationary_sqrt @ rng.standard_normal(p)
-    multiply, add = np.multiply, np.add
-    work = np.empty(p)
-    for x in innovations:  # x becomes the day's value in place
-        multiply(pop.ar_coeffs, prev, work)
-        add(pop.mean, work, work)
-        add(work, x, x)
-        prev = x
-    return innovations.T.copy()
+    for day in x.T:  # ε becomes ε + (μ + a·x), which is (μ + a·x) + ε bit for bit
+        day += pop.mean + pop.ar_coeffs * prev
+        prev = day
+    return x
 
 
 def _garch_centered(shocks, variance, intercepts, arch, persist):

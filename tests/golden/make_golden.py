@@ -5,6 +5,9 @@ Usage, from any working directory:
     python tests/golden/make_golden.py           # rewrite every golden output
     python tests/golden/make_golden.py --check   # compare byte for byte; exit 1 on a difference
 
+``--check`` names each file that differs with the largest relative change
+among its numbers, or ``text differs`` when the text around them moved.
+
 :data:`COMMANDS` is the one list of commands. Each runs in-process through
 ``gmvshrink.cli.main`` with this directory as the working directory, so the
 inputs are named by the same relative paths (``returns.csv``,
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +51,9 @@ ASSETS = ("ALFA", "BRAV", "CHAR", "DELT", "ECHO", "FOXT")
 DAYS = 600
 #: backtest window: ten windows of 55 days, then 50 days held with the last weights
 WINDOW = "55"
+
+#: a number standing on its own, not part of a word such as a config hash
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 class Command(NamedTuple):
@@ -122,6 +130,18 @@ def run(command, out_dir):
             handle.write(captured.getvalue())
 
 
+def describe_change(got, want):
+    """The largest relative change from the numbers of text ``want`` to
+    those of ``got``, or ``text differs`` when the rest of the text moved."""
+    if NUMBER.split(got) != NUMBER.split(want):
+        return "text differs"
+    largest = 0.0
+    for a, b in zip(map(float, NUMBER.findall(got)), map(float, NUMBER.findall(want))):
+        if a != b:
+            largest = max(largest, abs(a - b) / abs(b) if b else math.inf)
+    return f"largest relative change {largest:.2g}"
+
+
 def write_inputs():
     """Write the returns file and the external weights file if missing.
 
@@ -168,10 +188,11 @@ def main(argv=None):
         for command in COMMANDS:
             run(command, scratch)
             for name in command.outputs:
-                if (Path(scratch) / name).read_bytes() != (HERE / name).read_bytes():
-                    differ.append(name)
-    for name in differ:
-        print(f"differs: {name}")
+                got, want = (Path(scratch) / name).read_bytes(), (HERE / name).read_bytes()
+                if got != want:
+                    differ.append(f"{name}: {describe_change(got.decode(), want.decode())}")
+    for line in differ:
+        print(f"differs: {line}")
     print(f"{len(differ)} of {sum(len(c.outputs) for c in COMMANDS)} golden files differ")
     return 1 if differ else 0
 

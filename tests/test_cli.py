@@ -3,9 +3,10 @@
 Covers:
 - output layout of each subcommand
 - repeat invocations being byte-identical
-- file errors, configuration errors and numerical failures mapping to
-  exit codes 3, 2 and 4, with out-of-range arguments (a negative seed
-  among them) refused before any output
+- file errors, configuration errors and numerical failures (a
+  near-singular window among them) mapping to exit codes 3, 2 and 4, with
+  out-of-range arguments (a negative seed among them) refused before any
+  output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
 - ``weights`` fitting only: it never evaluates its weight history, so an
@@ -395,6 +396,41 @@ def test_backtest_duplicated_asset_is_numerical_error(tmp_path, capsys, strategy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gmvshrink: numerical error:")
+
+
+def _near_duplicate_returns(path, noise):
+    """The golden returns plus a seventh column: the first plus ``noise``
+    times standard normal draws, written to 15 significant digits."""
+    lines = GOLDEN_RETURNS.read_text().splitlines()
+    first = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    copy = first + noise * np.random.default_rng(0).standard_normal(len(first))
+    rows = [f"{line},{x:.15g}" for line, x in zip(lines[1:], copy)]
+    path.write_text("\n".join([lines[0] + ",COPY", *rows]) + "\n")
+    return path
+
+
+def test_near_singular_window_is_numerical_error(tmp_path, capsys):
+    """An asset that copies another up to 1e-9 noise leaves a squared pivot
+    below 1e-12 of its variance in every window, so each strategy that
+    solves with a window's covariance exits 4; equal weights (6) never
+    solves. With 1e-6 noise the windows are legitimate and all seven run."""
+    tight = str(_near_duplicate_returns(tmp_path / "tight.csv", 1e-9))
+    loose = str(_near_duplicate_returns(tmp_path / "loose.csv", 1e-6))
+    for strategy in "1234567":
+        common = ["--strategy", strategy, "--n", "55", "--seed", "7"]
+        rc = main(["weights", "--input", tight, *common])
+        captured = capsys.readouterr()
+        if strategy == "6":
+            assert rc == 0, captured.err
+        else:
+            assert rc == 4
+            assert captured.out == ""
+            assert captured.err.startswith("gmvshrink: numerical error:")
+            assert "near-singular (sample size n=55)" in captured.err
+        assert main(["weights", "--input", loose, *common]) == 0
+        assert capsys.readouterr().err == ""
+    assert main(["backtest", "--input", tight, "--strategy", "1", "--n", "55", "--seed", "7"]) == 4
+    assert "near-singular" in capsys.readouterr().err
 
 
 def test_backtest_missing_file_is_data_error(tmp_path, capsys):

@@ -3,13 +3,16 @@
 Covers:
 - sample moments (hand values, projector identity)
 - the Monte Carlo mean and its standard error
-- minimum-variance weights (identity/diagonal cases, singular input)
+- minimum-variance weights (identity/diagonal cases, singular and
+  near-singular input)
 - portfolio variance and relative loss
 - the consistent target-loss estimator and its clamp
 - pooled running statistics
 - full-investment, optimality, and scale-equivariance properties
 - the package's lazy exports
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from gmvshrink.core import (
     sample_moments,
     solve_spd,
 )
+from gmvshrink.dataio import read_returns_csv
 from gmvshrink.sim import build_population
 
 
@@ -276,6 +280,26 @@ def test_gmv_weights_refuses_nan_covariance_entry(entry):
     cov[entry] = cov[entry[::-1]] = np.nan
     with pytest.raises(SingularityError, match="numerically singular"):
         gmv_weights(cov)
+
+
+def test_solve_spd_refuses_near_duplicate_asset():
+    """An asset that copies the golden file's first asset up to 1e-9 noise
+    keeps about 1e-14 of its variance beside the others, below
+    ``PIVOT_RATIO``; with 1e-6 noise it keeps about 1e-8, and the unaltered
+    first window keeps a fifth at least."""
+    _, _, returns = read_returns_csv(Path(__file__).parent / "golden" / "returns.csv")
+    window = returns[:, :55]
+
+    def with_copy(noise):
+        copy = window[0] + noise * np.random.default_rng(0).standard_normal(55)
+        return sample_moments(np.vstack([window, copy]))[1]
+
+    solve_spd(sample_moments(window)[1], np.ones(6), n_obs=55)
+    solve_spd(with_copy(1e-6), np.ones(7), n_obs=55)
+    with pytest.raises(SingularityError, match="near-singular") as info:
+        solve_spd(with_copy(1e-9), np.ones(7), n_obs=55)
+    assert "p=7" in str(info.value) and "n=55" in str(info.value)
+    assert (info.value.n_assets, info.value.n_obs) == (7, 55)
 
 
 def test_solve_spd_reports_dimensions_on_failure():

@@ -306,10 +306,14 @@ def test_crlf_file_takes_the_bulk_path(tmp_path):
     assert peak < 2 * got.nbytes
 
 
-def test_strict_parser_packs_rows_as_it_reads(tmp_path):
-    """A quoted CRLF file goes to the strict parser, which holds its rows
-    as float64 blocks rather than one list of floats per row."""
-    lf_path = _write_returns_file(tmp_path / "lf.csv", 25, 2_000)
+@pytest.mark.parametrize(
+    ("assets", "days", "bound"), [(25, 2_000, 3.5), (200, 2_000, 2.5)], ids=["25x2000", "200x2000"]
+)
+def test_strict_parser_holds_one_flat_buffer(tmp_path, assets, days, bound):
+    """A quoted CRLF file goes to the strict parser, which appends its cells
+    to one float64 buffer, not to one list of floats per row, and copies its
+    transpose into the result: about twice the result at the peak."""
+    lf_path = _write_returns_file(tmp_path / "lf.csv", assets, days)
     quoted_path = tmp_path / "quoted.csv"
     quoted_path.write_bytes(
         b"".join(
@@ -322,8 +326,9 @@ def test_strict_parser_packs_rows_as_it_reads(tmp_path):
     expected = read_returns_csv(lf_path)
     (dates, names, got), peak = _peak_read(quoted_path)
     assert (dates, names) == expected[:2]
+    assert got.flags["C_CONTIGUOUS"]
     assert got.tobytes() == expected[2].tobytes()
-    assert peak < 3.5 * got.nbytes
+    assert peak < bound * got.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ print, so a reordering that moves the last bit of a result passes while a
 changed constant fails. ``check-rmt`` prints its columns with six decimals,
 so its numbers may also move by one unit in the sixth decimal.
 
-``python tests/golden/make_golden.py --check`` compares byte for byte.
+``python tests/golden/make_golden.py --check`` compares byte for byte and
+names the largest relative change of each file that differs; both use the
+one pattern of a number, ``make_golden.NUMBER``.
 """
 
 import importlib.util
@@ -26,18 +28,16 @@ _spec.loader.exec_module(make_golden)
 
 RTOL = 1e-10
 
-#: a number standing on its own, not part of a word such as a config hash
-_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
-
 
 def _mismatch(got, want, atol=0.0):
     """The first difference between two outputs as a message, or None."""
     got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
     if len(got_lines) != len(want_lines):
         return f"{len(got_lines)} lines, expected {len(want_lines)}"
+    pattern = make_golden.NUMBER
     for number, (line, expected) in enumerate(zip(got_lines, want_lines), start=1):
-        numbers, want_numbers = _NUMBER.findall(line), _NUMBER.findall(expected)
-        same = _NUMBER.split(line) == _NUMBER.split(expected) and all(
+        numbers, want_numbers = pattern.findall(line), pattern.findall(expected)
+        same = pattern.split(line) == pattern.split(expected) and all(
             a == b
             or re.search(r"[.eE]", b) is not None
             and abs(float(a) - float(b)) <= RTOL * abs(float(b)) + atol
@@ -63,6 +63,21 @@ def test_golden_directory_holds_only_command_outputs_and_inputs():
     kept = {path.name for path in GOLDEN.iterdir() if path.suffix in (".csv", ".txt")}
     written = {name for command in make_golden.COMMANDS for name in command.outputs}
     assert kept == written | {make_golden.RETURNS, make_golden.EXTERNAL}
+
+
+def test_check_names_the_largest_relative_change():
+    want = "# config-hash: 3e5a01c2d4f6\nperiod,loss\n1,0.25\n2,-4e-03\n"
+    assert make_golden.describe_change(want, want) == "largest relative change 0"
+    moved = want.replace("0.25", "0.2500001").replace("-4e-03", "-4.2e-03")
+    assert make_golden.describe_change(moved, want) == "largest relative change 0.05"
+    assert make_golden.describe_change(want.replace(",0.25", ",0"), want) == (
+        "largest relative change 1"
+    )
+    assert make_golden.describe_change(want, want.replace(",0.25", ",0")) == (
+        "largest relative change inf"
+    )
+    assert make_golden.describe_change(want.replace("3e5a", "3e6a"), want) == "text differs"
+    assert make_golden.describe_change(want + "3,0.5\n", want) == "text differs"
 
 
 def test_comparison_tolerates_only_the_last_printed_digits():
