@@ -152,20 +152,20 @@ def turnover(weights_history, initial):
 def wealth_and_drawdown(daily_returns):
     """Compound a daily return series into a wealth path starting at 1.
 
-    A day with return at or below -100 percent wipes the portfolio out;
-    the path is truncated at that day and flagged as ruined. The worst
-    daily change is the most negative one-day difference in wealth. A
-    path that overflows to infinity raises DegenerateInputError.
+    A day with return at or below -100 percent ends the path, which is
+    flagged as ruined; later days are discarded, whatever they hold. The
+    worst daily change is the most negative one-day difference in wealth.
+    A non-finite kept return or an overflowing path raises DegenerateInputError.
     """
     daily_returns = np.asarray(daily_returns, dtype=float)
     if daily_returns.ndim != 1:
         raise DimensionError(f"expected a 1-d return series, got shape {daily_returns.shape}")
-    if not np.all(np.isfinite(daily_returns)):
-        raise DegenerateInputError("daily returns contain non-finite values")
     ruin = np.flatnonzero(daily_returns <= -1.0)
     ruined = ruin.size > 0
     if ruined:
         daily_returns = daily_returns[: ruin[0] + 1]
+    if not np.all(np.isfinite(daily_returns)):
+        raise DegenerateInputError("daily returns contain non-finite values")
     # cumprod multiplies in sequence: each day is the product a loop forms
     with np.errstate(over="ignore", invalid="ignore"):
         path = np.cumprod(np.concatenate(([1.0], 1.0 + daily_returns)))
@@ -180,6 +180,20 @@ def wealth_and_drawdown(daily_returns):
     changes = np.diff(path)
     worst = float(changes.min()) if changes.size else 0.0
     return WealthSummary(path=tuple(path.tolist()), worst_daily_change=worst, ruined=ruined)
+
+
+def _drifting_span(weights, block):
+    """Daily returns of a buy-and-hold position bought at ``weights``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # holdings w * G_t, compounded from w so that a zero weight
+        # stays zero even where its asset's G_t would overflow
+        held = np.empty_like(block)
+        held[:, 0] = weights
+        np.add(block[:, :-1], 1.0, out=held[:, 1:])
+        np.cumprod(held, axis=1, out=held)
+        value = (1.0 - weights.sum()) + held.sum(axis=0)
+        value[0] = 1.0
+        return np.einsum("ij,ij->j", held, block) / value
 
 
 def _holding_day_returns(returns, weights_history, schedule, drift):
@@ -197,46 +211,19 @@ def _holding_day_returns(returns, weights_history, schedule, drift):
     span's days before day ``t`` (1 on its first day), the portfolio is
     worth ``V_t = (1 - sum(w)) + w . G_t`` of its starting value and
     returns ``(w * G_t) . y_t / V_t`` on day ``t``; each span is one
-    cumulative product. The series ends on the first day whose return
-    is at or below -100 percent: the holdings are gone, so no later day
-    or span is evaluated.
+    cumulative product. Spans past a day at or below -100 percent are
+    still computed; :func:`wealth_and_drawdown` ends the series there.
     """
     spans = schedule.spans()
     total_days = returns.shape[1]
-    holding_spans = []
-    for i in range(len(spans) - 1):
-        holding_spans.append((weights_history[i],) + spans[i + 1])
+    holding_spans = [(w,) + span for w, span in zip(weights_history, spans[1:])]
     if total_days > schedule.total_observations:
-        holding_spans.append(
-            (weights_history[-1], schedule.total_observations, total_days)
-        )
-
-    if not drift:
-        return np.concatenate(
-            [np.asarray(w, dtype=float) @ returns[:, a:b] for w, a, b in holding_spans]
-            or [np.empty(0)]
-        )
-    day_returns = []
-    for weights, start, end in holding_spans:
-        block = returns[:, start:end]
-        weights = np.asarray(weights, dtype=float)
-        # days past a ruin day are discarded, whatever they hold
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # holdings w * G_t, compounded from w so that a zero weight
-            # stays zero even where its asset's G_t would overflow
-            held = np.empty_like(block)
-            held[:, 0] = weights
-            np.add(block[:, :-1], 1.0, out=held[:, 1:])
-            np.cumprod(held, axis=1, out=held)
-            value = (1.0 - weights.sum()) + held.sum(axis=0)
-            value[0] = 1.0
-            span = np.einsum("ij,ij->j", held, block) / value
-        ruin = np.flatnonzero(1.0 + span <= 0.0)
-        if ruin.size:
-            day_returns.append(span[: ruin[0] + 1])  # ruin: holdings are gone
-            break
-        day_returns.append(span)
-    return np.concatenate(day_returns or [np.empty(0)])
+        holding_spans.append((weights_history[-1], schedule.total_observations, total_days))
+    hold = _drifting_span if drift else np.dot
+    return np.concatenate(
+        [hold(np.asarray(w, dtype=float), returns[:, a:b]) for w, a, b in holding_spans]
+        or [np.empty(0)]
+    )
 
 
 def _checked_inputs(returns, schedule, target):

@@ -311,7 +311,8 @@ def _build_parser():
     sim.add_argument("--T", type=int, default=10, help="number of rebalancing periods")
     sim.add_argument("--reps", type=int, default=200, help="Monte Carlo repetitions")
     sim.add_argument(
-        "--strategies", default="1,2,3,4,5,6,7", help="comma-separated strategy ids"
+        "--strategies", default=",".join(map(str, STRATEGY_IDS)),
+        help="comma-separated strategy ids",
     )
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", default="-", help="output CSV path, '-' for stdout")

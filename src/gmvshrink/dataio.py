@@ -32,6 +32,7 @@ import csv
 import datetime
 import hashlib
 import itertools
+import math
 import operator
 import sys
 import warnings
@@ -277,7 +278,7 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
                     f"{path}, line {line_no}, column {name!r}: not a "
                     f"number: {cell!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataFileError(
                     f"{path}, line {line_no}, column {name!r}: non-finite "
                     f"value {cell!r}"

@@ -331,7 +331,7 @@ class LossTable:
         raise KeyError(f"no row for strategy={strategy}, period={period}")
 
 
-def _run_repetition(config, rep, target, losses, failures):
+def _run_repetition(config, rep, target, losses):
     """Run repetition ``rep``, filling its row of ``losses`` in place.
 
     Blocks are drawn in period order and each is fed to every strategy
@@ -339,8 +339,8 @@ def _run_repetition(config, rep, target, losses, failures):
     its blocks by popping a one-slot list that holds the block just drawn,
     so a strategy that asks for a block not yet drawn raises ``IndexError``.
     A strategy whose sequence raises a singularity at any period gets NaN
-    for the whole repetition, is counted and logged, and gets no further
-    blocks.
+    for the whole repetition, which is how :func:`run_experiment` counts
+    it, is logged and gets no further blocks.
     """
     rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
     pop_seed, data_seed = rep_seq.spawn(2)
@@ -365,7 +365,6 @@ def _run_repetition(config, rep, target, losses, failures):
             except SingularityError as exc:
                 del live[strategy]
                 losses[strategy][rep, :] = np.nan
-                failures[strategy] += 1
                 logger.warning("strategy %d failed on rep %d: %s", strategy, rep, exc)
 
 
@@ -391,11 +390,10 @@ def run_experiment(config):
     periods = config.periods
 
     losses = {s: np.full((config.reps, periods), np.nan) for s in strategies}
-    failures = {s: 0 for s in strategies}
     target = np.full(config.p, 1.0 / config.p)
 
     for rep in range(config.reps):
-        _run_repetition(config, rep, target, losses, failures)
+        _run_repetition(config, rep, target, losses)
 
     rows = []
     for strategy in strategies:
@@ -411,7 +409,7 @@ def run_experiment(config):
                     concentration=config.p / config.n,
                     mean_loss=mean,
                     stderr=stderr,
-                    failed_reps=failures[strategy],
+                    failed_reps=int(np.count_nonzero(~ok)),
                 )
             )
 

@@ -164,6 +164,15 @@ def test_wealth_ruin_truncates_path():
     np.testing.assert_allclose(summary.path, (1.0, 1.5, -0.3))
 
 
+def test_wealth_ruin_discards_later_days_whatever_they_hold():
+    summary = wealth_and_drawdown([0.1, -1.5, np.nan, np.inf])
+    assert summary.ruined
+    np.testing.assert_allclose(summary.path, (1.0, 1.1, -0.55))
+    # a non-finite day before the ruin day is still refused
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        wealth_and_drawdown([0.1, np.nan, -1.5])
+
+
 def test_wealth_rejects_bad_input():
     with pytest.raises(DegenerateInputError):
         wealth_and_drawdown([0.1, np.nan])
@@ -351,13 +360,17 @@ def test_drift_mode_ruin_mid_span_ends_the_series():
     )
     schedule = RebalanceSchedule((1, 4))
     target = np.array([0.5, 0.5])
-    # day 2 loses 0.55 / 1.05 * 300 percent of the drifted portfolio
-    day_returns = _holding_day_returns(returns, [target, target], schedule, drift=True)
-    np.testing.assert_allclose(day_returns, [0.05, -1.65 / 1.05], rtol=1e-13)
-    _, report = run_backtest(returns, 6, schedule, target, drift=True)
+    kept = [0.05, -1.65 / 1.05]  # day 2 loses 0.55 / 1.05 * 300 percent of the portfolio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        day_returns = _holding_day_returns(returns, [target, target], schedule, drift=True)
+        _, report = run_backtest(returns, 6, schedule, target, drift=True)
+    np.testing.assert_allclose(day_returns[:2], kept, rtol=1e-13)
+    # the wealth path, not the holding loop, ends the series on the ruin day
     assert report.ruined
     np.testing.assert_allclose(report.wealth_path, (1.0, 1.05, -0.6), rtol=1e-13)
-    assert report.mean_return == pytest.approx(np.mean([0.05, -1.65 / 1.05]), rel=1e-13)
+    assert report.mean_return == pytest.approx(np.mean(kept), rel=1e-13)
+    assert report.volatility == pytest.approx(np.std(kept, ddof=1), rel=1e-13)
 
 
 def _per_day_drift_returns(returns, weights_history, schedule):
@@ -419,10 +432,18 @@ def test_drift_mode_ruin_in_a_non_final_span_ends_on_the_ruin_day():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # later days divide by zero wealth
         day_returns = _holding_day_returns(returns, history, schedule, drift=True)
+        report = evaluate_weights(returns, history, schedule, history[0], drift=True)
     reference = _per_day_drift_returns(returns, history, schedule)
-    assert day_returns.shape == reference.shape == (31 - 10 + 1,)
-    assert day_returns[-1] == -1.0
-    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
+    assert day_returns.shape == (60 - 10,)  # every span is still computed
+    assert reference.shape == (31 - 10 + 1,)
+    assert day_returns[reference.size - 1] == -1.0
+    np.testing.assert_allclose(day_returns[: reference.size], reference, rtol=1e-12, atol=1e-15)
+    # the wealth path ends on the ruin day and the moments cover only the kept days
+    assert report.ruined
+    assert len(report.wealth_path) == reference.size + 1
+    assert report.final_wealth == 0.0
+    assert report.mean_return == pytest.approx(reference.mean(), rel=1e-12)
+    assert report.volatility == pytest.approx(reference.std(ddof=1), rel=1e-12)
 
 
 def test_drift_mode_zero_weight_ignores_an_asset_whose_gross_return_overflows():
