@@ -18,6 +18,7 @@ outperforms the portfolio.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +43,10 @@ class RebalanceSchedule:
     window_lengths: tuple
 
     def __post_init__(self):
-        lengths = tuple(int(n) for n in self.window_lengths)
+        try:
+            lengths = tuple(operator.index(n) for n in self.window_lengths)
+        except TypeError:
+            raise ValueError(f"window lengths must be integers, got {self.window_lengths}") from None
         if not lengths:
             raise ValueError("schedule needs at least one window")
         if any(n < 1 for n in lengths):

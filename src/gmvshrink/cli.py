@@ -121,6 +121,7 @@ def _parse_strategies(text):
 
 def _cmd_simulate(args):
     _non_negative_seed(args.seed)
+    _refuse_bad_outputs(args)
     strategies = _parse_strategies(args.strategies)
     if args.reps > DESK_SCALE_REPS and not args.full:
         raise _ConfigError(
@@ -181,27 +182,30 @@ def _refuse_price_levels(path, names, returns):
             )
 
 
-def _refuse_output_collisions(args):
-    """Refuse an output path that resolves, through links too, to an input or
-    to the other output; ``-`` is standard output and never collides."""
+def _refuse_bad_outputs(args):
+    """Refuse, before anything is read or written, an output path that is a
+    directory, lies in a directory that does not exist, or resolves, through
+    links too, to an input or to the other output; ``-`` is standard output."""
     seen = {}
-    for flag, path in (
-        ("--input", args.input),
-        ("--weights-file", args.weights_file),
-        ("--out", args.out),
-        ("--wealth-out", args.wealth_out),
-    ):
-        if path not in (None, "-"):
-            key = os.path.realpath(path)
-            if key in seen and flag in ("--out", "--wealth-out"):
+    for flag in ("--input", "--weights-file", "--out", "--wealth-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path in (None, "-"):
+            continue
+        key = os.path.realpath(path)
+        if flag in ("--out", "--wealth-out"):
+            if key in seen:
                 raise _ConfigError(f"{flag} {path} names the same file as {seen[key]}")
-            seen[key] = flag
+            if os.path.isdir(key):
+                raise _ConfigError(f"{flag} {path} is a directory")
+            if not os.path.isdir(os.path.dirname(key)):
+                raise _ConfigError(f"{flag} {path} is in a directory that does not exist")
+        seen[key] = flag
 
 
 def _run_file_backtest(args):
     """Read the returns, then fit the strategy or read the weights file."""
     strategy = _strategy_arg(args)
-    _refuse_output_collisions(args)
+    _refuse_bad_outputs(args)
     _at_least_one("--n", args.n)
     if args.T is not None:
         _at_least_one("--T", args.T)

@@ -22,8 +22,8 @@ either mode; the modes differ only in where the recursion starts:
     advances the recursion one period.
 ``replay``
     The target loss is re-estimated each period from the pooled sample of
-    all windows so far, and the recursion is rerun from it over the past
-    window sizes before the current period is advanced.
+    all windows so far, and the recursion is rerun from it over every
+    window size to date, the current one included.
 """
 
 from __future__ import annotations
@@ -166,11 +166,13 @@ def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
 
 
 class PeriodRecord(NamedTuple):
-    """Per-period trace: window size, applied intensity, advanced loss."""
+    """Per-period trace: window size, applied intensity, advanced loss and the
+    target's remaining share ``prod(1 - psi)`` after the period."""
 
     n_obs: int
     intensity: float
     loss: float
+    target_share: float
 
 
 @dataclass(frozen=True)
@@ -179,24 +181,20 @@ class ShrinkageState:
 
     ``history`` stores one :class:`PeriodRecord` per period, its ``n_obs``
     being the window size: the block's for fresh windows, the pooled count
-    ``N_1 < N_2 < ...`` for extending ones. ``target_share`` is the target's
-    remaining share ``prod(1 - psi)`` in the holding portfolio (of the
-    replayed schedule in replay mode). ``loss`` is the tracked loss after
-    the last step; before the first it is NaN, because the first window
-    estimates it. ``pooled`` carries the running sufficient statistics of
-    all blocks so far; it is kept only where they are used, for extending
-    windows and in replay mode.
+    ``N_1 < N_2 < ...`` for extending ones. In replay mode a record's loss
+    and share are those of the schedule replayed that period. ``loss`` and
+    ``target_share`` read the last record; before the first step they are
+    NaN, because the first window estimates the loss, and 1.0. ``pooled``
+    carries the running sufficient statistics of all blocks so far; it is
+    kept only where they are used, for extending windows and in replay mode.
     """
 
-    n_assets: int
     mode: str
     extending: bool
     target: np.ndarray
     weights: np.ndarray
-    loss: float
     history: tuple = ()
     pooled: PooledStats | None = None
-    target_share: float = 1.0
 
     @property
     def period(self):
@@ -205,6 +203,14 @@ class ShrinkageState:
     @property
     def intensities(self):
         return tuple(rec.intensity for rec in self.history)
+
+    @property
+    def loss(self):
+        return self.history[-1].loss if self.history else math.nan
+
+    @property
+    def target_share(self):
+        return self.history[-1].target_share if self.history else 1.0
 
 
 def init(target, first_block=None, mode="fixed", extending=False):
@@ -228,12 +234,10 @@ def init(target, first_block=None, mode="fixed", extending=False):
     target_weights = as_weight_vector(target)
     p = target_weights.shape[0]
     state = ShrinkageState(
-        n_assets=p,
         mode=mode,
         extending=extending,
         target=target_weights,
         weights=target_weights,
-        loss=float("nan"),  # estimated from the first window
         pooled=PooledStats(p) if extending or mode == "replay" else None,
     )
     if first_block is None:
@@ -248,7 +252,7 @@ def step(state, block):
     so far; it must exceed ``p + 1`` observations, so later increments of an
     extending window may be arbitrarily short.
     """
-    p = state.n_assets
+    p = state.target.shape[0]
     block = as_returns_block(block, min_obs=1)
     if block.shape[0] != p:
         raise DimensionError(f"block has p={block.shape[0]} assets, state expects {p}")
@@ -266,25 +270,21 @@ def step(state, block):
         _, cov = sample_moments(block)
     sample_weights = gmv_weights(cov, n_obs=n)
 
-    # enter with the state's loss and share unless a target loss is estimated:
-    # replay pools everything so far (the window itself when extending)
-    loss, share = state.loss, state.target_share
-    if state.mode == "replay":
-        window = (cov, n) if state.extending else (pooled.cov(), pooled.count)
+    if state.mode == "fixed" and state.period > 0:
+        psi, loss, share = _advance(state.loss, state.target_share, n, p, state.extending)
+    else:
+        # start over: estimate the target loss (in replay on fresh windows,
+        # from everything pooled) and rerun the recursion to date
+        fresh_replay = state.mode == "replay" and not state.extending
+        window = (pooled.cov(), pooled.count) if fresh_replay else (cov, n)
         start = estimate_target_loss_from_cov(*window, state.target)
-        intensities, losses = replay_intensities(
-            start, [rec.n_obs for rec in state.history], p, state.extending
-        )
-        loss = losses[-1] if losses else start
-        share = math.prod(1.0 - psi for psi in intensities)
-    elif state.period == 0:
-        loss = estimate_target_loss_from_cov(cov, n, state.target)
-    psi, loss, share = _advance(loss, share, n, p, state.extending)
+        sizes = [rec.n_obs for rec in state.history] + [n]
+        intensities, losses = replay_intensities(start, sizes, p, state.extending)
+        share = math.prod(1.0 - x for x in intensities)
+        psi, loss = intensities[-1], losses[-1]
     return replace(
         state,
         weights=psi * sample_weights + (1.0 - psi) * state.weights,
-        loss=loss,
-        history=state.history + (PeriodRecord(n, psi, loss),),
+        history=state.history + (PeriodRecord(n, psi, loss, share),),
         pooled=pooled,
-        target_share=share,
     )

@@ -71,6 +71,14 @@ def test_schedule_validation():
         RebalanceSchedule((10, 0))
     with pytest.raises(ValueError):
         RebalanceSchedule.uniform(10, 0)
+    # a length that is not an integer is refused, never truncated
+    for lengths in ((5.5, 7.9), ("6",), (10, 2.0)):
+        with pytest.raises(ValueError, match=r"must be integers, got \(.*\)"):
+            RebalanceSchedule(lengths)
+    with pytest.raises(ValueError, match="must be integers"):
+        RebalanceSchedule.uniform(2.5, 3)
+    lengths = RebalanceSchedule((np.int64(5), np.int32(7))).window_lengths
+    assert lengths == (5, 7) and all(type(n) is int for n in lengths)
 
 
 # ---------------------------------------------------------------------------

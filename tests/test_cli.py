@@ -5,8 +5,8 @@ Covers:
 - repeat invocations being byte-identical
 - file errors, configuration errors and numerical failures (a
   near-singular window among them) mapping to exit codes 3, 2 and 4, with
-  out-of-range arguments (a negative seed among them) refused before any
-  output
+  out-of-range arguments (a negative seed among them) and unwritable output
+  paths refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
 - ``weights`` fitting only: it never evaluates its weight history, so an
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmvshrink import backtest, sim
+from gmvshrink import backtest, cli, sim
 from gmvshrink.cli import _build_parser, main
 from gmvshrink.core import SingularityError
 from gmvshrink.dataio import _parse_bulk, config_hash
@@ -595,6 +595,47 @@ def test_output_naming_another_file_of_the_run_is_config_error(
     assert captured.err.startswith("gmvshrink: config error: ")
     assert "names the same file as" in captured.err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("backtest", ["--out", "r.txt", "--wealth-out", "nodir/w.csv"], "does not exist"),
+        ("backtest", ["--out", "sub"], "is a directory"),
+        ("backtest", ["--out", "r.csv/x.txt"], "does not exist"),
+        ("weights", ["--out", "nodir/w.csv"], "does not exist"),
+        ("weights", ["--out", "sub/"], "is a directory"),
+        ("simulate", ["--out", "nodir/x.csv"], "does not exist"),
+        ("simulate", ["--out", "sub"], "is a directory"),
+    ],
+)
+def test_unwritable_output_path_is_config_error_before_any_work(
+    tmp_path, monkeypatch, capsys, command, flags, message
+):
+    """An output that is a directory, or whose directory does not exist, is
+    refused before the returns are read or the experiment is run, so a
+    failed run leaves no partial output behind."""
+    monkeypatch.chdir(tmp_path)
+    _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
+    (tmp_path / "sub").mkdir()
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    monkeypatch.setattr(cli, "read_returns_csv", work)
+    monkeypatch.setattr(cli, "run_experiment", work)
+    before = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
+    if command == "simulate":
+        args = ["simulate", "--scenario", "t5", "--p", "3", "--n", "10", "--T", "2", "--reps", "2"]
+    else:
+        args = [command, "--input", "r.csv", "--strategy", "1", "--n", "10"]
+    rc = main([*args, "--seed", "1", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gmvshrink: config error: ")
+    assert message in captured.err
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,7 @@ def test_init_without_block_holds_target():
     b = np.full(5, 0.2)
     state = init(b)
     assert state.period == 0
+    assert math.isnan(state.loss) and state.target_share == 1.0
     np.testing.assert_array_equal(state.weights, b)
     np.testing.assert_array_equal(state.target, b)
 
@@ -293,11 +294,12 @@ def test_module_exports_modes():
 )
 def test_pipeline_invariants(p, extra, mode, extending, seed):
     """Full investment, intensities in [0, 1], the target's share, window
-    sizes, finite nonnegative losses and, outside replay, a history equal
-    to the recursion rerun from an independently computed start, for both
-    window kinds and every mode. Fresh windows have ``p + 2 + k``
-    observations; an extending window starts at ``p + 2 + k`` and grows by
-    ``k + 1`` per period."""
+    sizes, finite nonnegative losses, ``loss`` and ``target_share`` read
+    from the last record and, outside replay, a history (per-record shares
+    included) equal to the recursion rerun from an independently computed
+    start, for both window kinds and every mode. Fresh windows have
+    ``p + 2 + k`` observations; an extending window starts at ``p + 2 + k``
+    and grows by ``k + 1`` per period."""
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, size=p)
     if extending:
@@ -337,6 +339,13 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
             list(state.intensities), [rec.loss for rec in state.history]
         )
     assert state.target_share == math.prod(1.0 - psi for psi in schedule)
+    last = state.history[-1]
+    assert (state.loss, state.target_share) == (last.loss, last.target_share)
+    if mode == "fixed":
+        # each record keeps the target's share after its period
+        assert [rec.target_share for rec in state.history] == [
+            math.prod(1.0 - psi for psi in schedule[: k + 1]) for k in range(len(schedule))
+        ]
 
 
 # ---------------------------------------------------------------------------
