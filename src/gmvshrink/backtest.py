@@ -36,6 +36,13 @@ from .strategies import weight_sequence
 logger = logging.getLogger(__name__)
 
 
+def _count(n):
+    """``operator.index(n)``, refusing ``bool``, which would count as 0 or 1."""
+    if isinstance(n, bool):
+        raise TypeError(f"{n!r} is not a count")
+    return operator.index(n)
+
+
 @dataclass(frozen=True)
 class RebalanceSchedule:
     """Partition of a return series into consecutive estimation windows."""
@@ -44,7 +51,7 @@ class RebalanceSchedule:
 
     def __post_init__(self):
         try:
-            lengths = tuple(operator.index(n) for n in self.window_lengths)
+            lengths = tuple(_count(n) for n in self.window_lengths)
         except TypeError:
             raise ValueError(f"window lengths must be integers, got {self.window_lengths}") from None
         if not lengths:
@@ -56,6 +63,10 @@ class RebalanceSchedule:
     @classmethod
     def uniform(cls, window_length, period_count):
         """``period_count`` windows of ``window_length`` days each."""
+        try:
+            period_count = _count(period_count)
+        except TypeError:
+            raise ValueError(f"period count must be an integer, got {period_count!r}") from None
         if period_count < 1:
             raise ValueError(f"need at least one period, got {period_count}")
         return cls((window_length,) * period_count)

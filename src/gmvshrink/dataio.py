@@ -16,12 +16,15 @@ to one flat float64 buffer and copies its transpose into the result at the
 end, so it holds about twice the result. The external-weights CSV has the
 same shape, with ``period`` in place of ``date``, and goes through the
 same strict parser after the ``#`` comment lines that precede its header.
-No path reads a whole file into one string.
+No path reads a whole file into one string. Input files are read as UTF-8,
+whatever the locale; bytes that do not decode are a DataFileError.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
 a versioned key-value performance report, and a per-period weights CSV
-that round-trips as the external-weights input of the backtest.
+that round-trips as the external-weights input of the backtest. Output
+files are written as UTF-8; standard output keeps the interpreter's
+encoding.
 """
 
 from __future__ import annotations
@@ -50,8 +53,19 @@ def _open_out(path):
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
+
+
+@contextlib.contextmanager
+def _open_in(path):
+    """Open text file ``path`` for the strict parser; bytes that are not
+    UTF-8 raise DataFileError naming the file."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _fmt(value):
@@ -87,7 +101,7 @@ def read_returns_csv(path):
     with open(path, "rb") as handle:
         parsed = _parse_bulk(path, handle)
     if parsed is None:
-        with open(path, newline="") as handle:
+        with _open_in(path) as handle:
             parsed = _parse_strict(path, handle)
     return parsed
 
@@ -301,7 +315,7 @@ def read_external_weights(path, asset_names=None):
     and column. Given ``asset_names`` (those of the returns file), the
     asset columns must carry exactly those names in that order.
     """
-    with open(path, newline="") as handle:
+    with _open_in(path) as handle:
         skip = 0
         line = handle.readline()
         while line.startswith("#"):

@@ -99,14 +99,13 @@ def cross_resolvent_constant(n, m, p):
 def direction_vector(p, seed):
     """Unit-norm direction drawn once per harness run.
 
-    First column of a seeded Haar-distributed orthogonal matrix; the same
-    vector is used on both sides of every quadratic form, so the inner
-    product of the two directions is exactly one.
+    First column of a seeded Gaussian p x p draw over its norm, which is the
+    first column of its sign-fixed (Haar) QR factor. Both sides of every
+    quadratic form use this one vector, so their inner product is one.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    q, r = np.linalg.qr(rng.standard_normal((p, p)))
-    q = q * np.sign(np.diag(r))
-    return q[:, 0]
+    x = rng.standard_normal((p, p))[:, 0]  # the whole p x p draw keeps each seed's direction
+    return x / np.linalg.norm(x)
 
 
 def _draw_matrix(rng, p, cols, tails):

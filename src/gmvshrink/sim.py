@@ -10,7 +10,9 @@ The experiment streams: repetitions run one at a time, and each block is
 fed to every strategy before the next block is drawn. Memory therefore
 holds one repetition's population, the current block and the strategies'
 states, independent of the number of periods and repetitions. The draws,
-and so the results, are those of generating every block up front.
+and so the results, are those of generating every block up front. A
+population derives the square root that ``ccc_garch`` or ``varma`` reads
+on first use, so ``t5`` and ``capm`` compute none.
 
 Scenarios
 ---------
@@ -45,6 +47,7 @@ only while that order is kept; floating-point addition is not associative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -71,9 +74,12 @@ class PopulationModel:
     The innovation covariance has a fixed spectrum: 20 percent of the
     eigenvalues at 0.2, 40 percent at 4 and the remainder (including the
     rounding leftover) at 1, rotated by a Haar-distributed orthogonal
-    matrix. Scenario-specific parameters (factor loadings, GARCH
-    coefficients, autoregression coefficients) are all drawn at build time
-    so one population serves any scenario deterministically.
+    matrix. Every scenario's parameters are drawn at build time, so one
+    population serves any scenario deterministically. The matrices only one
+    scenario reads, ``corr_sqrt`` (``ccc_garch``), ``stationary_cov`` and
+    ``stationary_sqrt`` (``varma``), are derived on first read and kept, so
+    a matrix without a positive-definite square root raises
+    :class:`~gmvshrink.core.SingularityError` at that read, not at build.
     """
 
     mean: np.ndarray
@@ -83,10 +89,24 @@ class PopulationModel:
     arch_coeffs: np.ndarray
     persist_coeffs: np.ndarray
     garch_intercepts: np.ndarray
-    corr_sqrt: np.ndarray
     ar_coeffs: np.ndarray
-    stationary_cov: np.ndarray
-    stationary_sqrt: np.ndarray
+
+    @functools.cached_property
+    def corr_sqrt(self):
+        scale = 1.0 / np.sqrt(np.diag(self.cov))
+        corr = self.cov * np.outer(scale, scale)
+        return _symmetric_sqrt(0.5 * (corr + corr.T))
+
+    @functools.cached_property
+    def stationary_cov(self):
+        # Sigma_kl / (1 - g_k g_l), positive-definite by the Schur product theorem
+        # since 1/(1 - g_k g_l) is a Gram matrix of geometric series
+        cov = self.cov / (1.0 - np.outer(self.ar_coeffs, self.ar_coeffs))
+        return 0.5 * (cov + cov.T)
+
+    @functools.cached_property
+    def stationary_sqrt(self):
+        return _symmetric_sqrt(self.stationary_cov)
 
     @property
     def n_assets(self):
@@ -125,9 +145,7 @@ def spectrum_for(p):
 def _symmetric_sqrt(mat):
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     if eigenvalues[0] <= 0.0:
-        raise SingularityError(
-            "matrix is not positive-definite", n_assets=mat.shape[0]
-        )
+        raise SingularityError("matrix is not positive-definite", n_assets=mat.shape[0])
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
@@ -143,8 +161,7 @@ def build_population(p, seed):
     rng = np.random.default_rng(seed)
 
     eigenvalues = spectrum_for(p)
-    raw = rng.standard_normal((p, p))
-    q, r = np.linalg.qr(raw)
+    q, r = np.linalg.qr(rng.standard_normal((p, p)))
     q = q * np.sign(np.diag(r))  # sign fix makes the rotation exactly Haar
     cov = (q * eigenvalues) @ q.T
     cov = 0.5 * (cov + cov.T)
@@ -156,20 +173,6 @@ def build_population(p, seed):
     persist_coeffs = rng.uniform(0.6, 0.7, p)
     ar_coeffs = rng.uniform(-0.9, 0.9, p)
 
-    variances = np.diag(cov)
-    garch_intercepts = variances * (1.0 - arch_coeffs - persist_coeffs)
-    scale = 1.0 / np.sqrt(variances)
-    corr = cov * np.outer(scale, scale)
-    corr = 0.5 * (corr + corr.T)
-    corr_sqrt = _symmetric_sqrt(corr)
-
-    # Stationary covariance of the diagonal AR(1): Sigma_kl / (1 - g_k g_l).
-    # Positive-definite by the Schur product theorem, since 1/(1 - g_k g_l)
-    # is a Gram matrix of geometric series.
-    stationary_cov = cov / (1.0 - np.outer(ar_coeffs, ar_coeffs))
-    stationary_cov = 0.5 * (stationary_cov + stationary_cov.T)
-    stationary_sqrt = _symmetric_sqrt(stationary_cov)
-
     return PopulationModel(
         mean=mean,
         cov=cov,
@@ -177,11 +180,8 @@ def build_population(p, seed):
         factor_loadings=factor_loadings,
         arch_coeffs=arch_coeffs,
         persist_coeffs=persist_coeffs,
-        garch_intercepts=garch_intercepts,
-        corr_sqrt=corr_sqrt,
+        garch_intercepts=np.diag(cov) * (1.0 - arch_coeffs - persist_coeffs),
         ar_coeffs=ar_coeffs,
-        stationary_cov=stationary_cov,
-        stationary_sqrt=stationary_sqrt,
     )
 
 

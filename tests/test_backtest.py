@@ -75,8 +75,18 @@ def test_schedule_validation():
     for lengths in ((5.5, 7.9), ("6",), (10, 2.0)):
         with pytest.raises(ValueError, match=r"must be integers, got \(.*\)"):
             RebalanceSchedule(lengths)
+    for lengths in ((True, 5), (False,)):
+        with pytest.raises(ValueError, match="must be integers"):
+            RebalanceSchedule(lengths)
     with pytest.raises(ValueError, match="must be integers"):
         RebalanceSchedule.uniform(2.5, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        RebalanceSchedule.uniform(True, 3)
+    # and so is a period count
+    for count in (2.5, "3", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RebalanceSchedule.uniform(10, count)
+    assert RebalanceSchedule.uniform(10, np.int64(2)).window_lengths == (10, 10)
     lengths = RebalanceSchedule((np.int64(5), np.int32(7))).window_lengths
     assert lengths == (5, 7) and all(type(n) is int for n in lengths)
 

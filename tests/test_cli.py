@@ -9,6 +9,8 @@ Covers:
   paths refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
+- input and output files being UTF-8 whatever the locale, and a file that
+  does not decode being a data error naming it
 - ``weights`` fitting only: it never evaluates its weight history, so an
   error only evaluation raises (wealth overflow) is a ``backtest`` error
 - every output's metadata being closed by the hash of its pairs
@@ -17,8 +19,11 @@ Covers:
 """
 
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -835,6 +840,44 @@ def test_external_replay_of_header_cell_with_hash_line(tmp_path, capsys):
     assert main(["weights", *common, "--strategy", "6", "--out", str(weights_path)]) == 0
     rc = main(["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("bad", ["returns", "weights"])
+def test_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys, bad):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=30, seed=41)
+    weights_path = tmp_path / "w.csv"
+    common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
+    assert main(["weights", *common, "--strategy", "6", "--out", str(weights_path)]) == 0
+    path = {"returns": csv_path, "weights": weights_path}[bad]
+    path.write_bytes(path.read_bytes().replace(b"a0", "café".encode("latin-1")))
+    strategy = ["--strategy", "external", "--weights-file", str(weights_path)]
+    assert main(["backtest", *common, *strategy]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gmvshrink: data error:") and f"{path}: not UTF-8 text" in err
+
+
+def test_non_ascii_asset_name_round_trips_under_an_ascii_locale(tmp_path):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=30, seed=43)
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"a0", "café".encode()))
+    common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
+    assert main(["weights", *common, "--strategy", "5", "--out", str(tmp_path / "w.csv")]) == 0
+    # without locale coercion and UTF-8 mode, the C locale's encoding is ASCII
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    probe = run("-c", "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)")
+    assert probe.stdout.strip() == "ascii"
+    ascii_weights = tmp_path / "w_ascii.csv"
+    weights = run("-m", "gmvshrink.cli", "weights", *common, "--strategy", "5", "--out", str(ascii_weights))
+    assert weights.returncode == 0, weights.stderr
+    assert ascii_weights.read_bytes() == (tmp_path / "w.csv").read_bytes()
+    replay = run(
+        "-m", "gmvshrink.cli", "backtest", *common, "--strategy", "external",
+        "--weights-file", str(ascii_weights), "--out", str(tmp_path / "report.txt"),
+    )
+    assert replay.returncode == 0, replay.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ Covers:
 - agreement of the two-sample closed form with the simulated nested
   quadratic form at low concentration
 - harness determinism, tail options and input validation
+- the direction vector against the first column of the sign-fixed QR
+  factor of its seeded draw
 """
 
 import numpy as np
@@ -87,6 +89,15 @@ def test_direction_vector_unit_norm_and_determinism():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(v, direction_vector(50, seed=5))
     assert not np.array_equal(v, direction_vector(50, seed=6))
+
+
+@pytest.mark.parametrize("p", [5, 50, 200])
+def test_direction_vector_is_the_first_column_of_the_haar_factor(p):
+    for seed in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        q, r = np.linalg.qr(rng.standard_normal((p, p)))
+        expected = (q * np.sign(np.diag(r)))[:, 0]
+        np.testing.assert_allclose(direction_vector(p, seed), expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

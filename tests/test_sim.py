@@ -1,7 +1,8 @@
 """Tests for the Monte Carlo experiment engine.
 
 Covers:
-- the configured eigenvalue spectrum and population construction
+- the configured eigenvalue spectrum and population construction, with
+  each scenario's square root derived once, on first read
 - determinism of population and experiment draws
 - each scenario's generated moments against its evaluation covariance
 - the experiment loop: row layout, targeted-strategy behavior,
@@ -10,6 +11,7 @@ Covers:
   blocks, and its working set staying flat in the number of periods
 """
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -80,6 +82,52 @@ def test_population_coefficient_ranges():
     assert np.all(pop.arch_coeffs + pop.persist_coeffs < 1.0)
     assert np.all(np.abs(pop.ar_coeffs) < 0.9)
     assert np.all(np.abs(pop.mean) <= 0.2)
+
+
+def test_population_derives_a_scenario_square_root_once_on_first_read(monkeypatch):
+    calls = []
+    real_sqrt = sim._symmetric_sqrt
+    monkeypatch.setattr(sim, "_symmetric_sqrt", lambda mat: calls.append(mat) or real_sqrt(mat))
+    for scenario, count in {"t5": 0, "capm": 0, "ccc_garch": 1, "varma": 1}.items():
+        calls.clear()
+        pop = build_population(12, seed=4)
+        assert calls == []
+        generate(pop, scenario, 5, np.random.default_rng(0))
+        pop.evaluation_cov(scenario)
+        assert len(calls) == count, scenario
+        generate(pop, scenario, 5, np.random.default_rng(1))
+        assert len(calls) == count, scenario
+
+
+def test_square_root_of_a_singular_population_fails_at_first_read():
+    pop = build_population(6, seed=0)
+    # off-diagonal entries above the diagonal ones: a 'correlation' beyond 1
+    broken = dataclasses.replace(pop, cov=pop.cov + 5.0 * (np.ones((6, 6)) - np.eye(6)))
+    with pytest.raises(SingularityError):
+        broken.corr_sqrt
+
+
+def _eigh_sqrt(mat):
+    values, vectors = np.linalg.eigh(mat)
+    return (vectors * np.sqrt(values)) @ vectors.T
+
+
+@pytest.mark.parametrize("p", [5, 17, 60])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_derived_matrices_are_the_build_time_expressions_bit_for_bit(p, seed):
+    pop = build_population(p, seed)
+    variances = np.diag(pop.cov)
+    scale = 1.0 / np.sqrt(variances)
+    corr = pop.cov * np.outer(scale, scale)
+    corr = 0.5 * (corr + corr.T)
+    stationary_cov = pop.cov / (1.0 - np.outer(pop.ar_coeffs, pop.ar_coeffs))
+    stationary_cov = 0.5 * (stationary_cov + stationary_cov.T)
+    np.testing.assert_array_equal(
+        pop.garch_intercepts, variances * (1.0 - pop.arch_coeffs - pop.persist_coeffs)
+    )
+    np.testing.assert_array_equal(pop.corr_sqrt, _eigh_sqrt(corr))
+    np.testing.assert_array_equal(pop.stationary_cov, stationary_cov)
+    np.testing.assert_array_equal(pop.stationary_sqrt, _eigh_sqrt(stationary_cov))
 
 
 def test_evaluation_cov_per_scenario():

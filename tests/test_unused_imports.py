@@ -1,10 +1,15 @@
-"""Every name a package module imports is read by that module.
+"""Every name a package module imports is read by that module, and every
+text file it opens names its encoding.
 
 No linter runs on this tree, so this test stands in for the unused-import
 check: it parses each module of ``src/gmvshrink`` and fails on any name an
 ``import`` binds that no expression of the module reads. ``__future__``
 imports are exempt. ``KEPT`` lists the re-exports that are imported only
 to be read from outside the module; each entry says who reads it.
+
+The same parse fails on any ``open()`` call in text mode without an
+``encoding`` argument, which would read and write in the locale's encoding.
+A mode holding ``b`` is exempt.
 """
 
 import ast
@@ -63,3 +68,31 @@ def test_kept_re_exports_are_still_unread_where_they_are_imported():
         for name in unused_imports(path.read_text())
     }
     assert found == KEPT
+
+
+def opens_without_encoding(source):
+    """Lines of the text-mode ``open()`` calls in ``source`` that name no encoding."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and len(node.args) < 4 and "encoding" not in keywords:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_encoding_finder_exempts_binary_modes_only():
+    source = (
+        "open(a)\nopen(a, 'rb')\nopen(a, mode='wb')\nopen(a, 'w', encoding='utf-8')\n"
+        "open(a, 'r', -1, 'utf-8')\nopen(a, newline='')\nhandle.open(a)\n"
+    )
+    assert opens_without_encoding(source) == [1, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_names_the_encoding_of_every_text_file_it_opens(path):
+    lines = opens_without_encoding(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} opens text files without an encoding on lines {lines}"
