@@ -138,10 +138,7 @@ def _cmd_simulate(args):
             strategies=strategies,
         )
     table = run_experiment(config)
-    all_failed = [
-        s for s in strategies
-        if any(r.strategy == s and r.failed_reps >= config.reps for r in table.rows)
-    ]
+    all_failed = [s for s, failed in table.failed_reps.items() if failed == config.reps]
     if all_failed:
         raise SingularityError(f"every repetition failed for strategies {all_failed}")
     write_loss_table(table, args.out)
@@ -330,12 +327,7 @@ def _build_parser():
         cmd.add_argument("--input", required=True, help="returns CSV path")
         cmd.add_argument("--strategy", required=True, choices=strategies)
         cmd.add_argument("--n", required=True, type=int, help="window length in days")
-        cmd.add_argument(
-            "--T",
-            type=int,
-            default=None,
-            help="number of windows (default: as many as fit)",
-        )
+        cmd.add_argument("--T", type=int, help="number of windows (default: as many as fit)")
         cmd.add_argument("--seed", required=True, type=int)
         cmd.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -343,14 +335,8 @@ def _build_parser():
     bt = sub.add_parser("backtest", help="run one strategy over a returns file")
     add_file_args(bt, strategy_ids + [EXTERNAL_STRATEGY])
     bt.add_argument("--drift", action="store_true", help="let holdings drift within periods")
-    bt.add_argument(
-        "--weights-file",
-        default=None,
-        help="per-period weights CSV, required with --strategy external",
-    )
-    bt.add_argument(
-        "--wealth-out", default=None, help="also write the per-day wealth CSV here"
-    )
+    bt.add_argument("--weights-file", help="per-period weights CSV, required with --strategy external")
+    bt.add_argument("--wealth-out", help="also write the per-day wealth CSV here")
 
     # fitted weights do not depend on drift, and replayed ones are the input
     wt = sub.add_parser("weights", help="export per-period weight vectors")

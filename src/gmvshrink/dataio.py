@@ -17,14 +17,15 @@ end, so it holds about twice the result. The external-weights CSV has the
 same shape, with ``period`` in place of ``date``, and goes through the
 same strict parser after the ``#`` comment lines that precede its header.
 No path reads a whole file into one string. Input files are read as UTF-8,
-whatever the locale; bytes that do not decode are a DataFileError.
+whatever the locale, past a leading byte-order mark; bytes that do not
+decode are a DataFileError.
 
 Outputs are deterministic text formats built for diffing: a loss table
 CSV and a wealth CSV (both with ``# key: value`` metadata comment lines),
 a versioned key-value performance report, and a per-period weights CSV
 that round-trips as the external-weights input of the backtest. Output
 files are written as UTF-8; standard output keeps the interpreter's
-encoding.
+encoding, and text that encoding cannot hold is a DataFileError.
 """
 
 from __future__ import annotations
@@ -49,9 +50,16 @@ class DataFileError(Exception):
 
 @contextlib.contextmanager
 def _open_out(path):
-    """Open ``path`` for writing; ``"-"`` means standard output."""
+    """Open ``path`` for writing; ``"-"`` means standard output, and text its
+    encoding cannot write raises DataFileError pointing to a UTF-8 file."""
     if path == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        except UnicodeEncodeError as exc:
+            raise DataFileError(
+                f"standard output's encoding ({exc.encoding}) cannot write this output; "
+                "write it with --out FILE, which is always UTF-8"
+            ) from None
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -59,9 +67,9 @@ def _open_out(path):
 
 @contextlib.contextmanager
 def _open_in(path):
-    """Open text file ``path`` for the strict parser; bytes that are not
-    UTF-8 raise DataFileError naming the file."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    """Open text file ``path`` for the strict parser, skipping a UTF-8
+    byte-order mark; bytes that are not UTF-8 raise DataFileError naming the file."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:

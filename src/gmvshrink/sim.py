@@ -9,10 +9,11 @@ period.
 The experiment streams: repetitions run one at a time, and each block is
 fed to every strategy before the next block is drawn. Memory therefore
 holds one repetition's population, the current block and the strategies'
-states, independent of the number of periods and repetitions. The draws,
-and so the results, are those of generating every block up front. A
-population derives the square root that ``ccc_garch`` or ``varma`` reads
-on first use, so ``t5`` and ``capm`` compute none.
+states, whatever the number of periods and repetitions, plus the result:
+each strategy's ``reps x periods`` losses, kept by :class:`LossTable`.
+The draws, and so the results, are those of generating every block up
+front. A population derives the square root that ``ccc_garch`` or
+``varma`` reads on first use, so ``t5`` and ``capm`` compute none.
 
 Scenarios
 ---------
@@ -51,7 +52,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -317,12 +318,46 @@ class ScenarioConfig:
             require_window(self.p, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossTable:
-    """Experiment result: one row per (strategy, period) plus metadata."""
+    """Experiment result: each strategy's relative loss in every repetition.
 
-    rows: tuple
-    metadata: dict = field(default_factory=dict)
+    ``losses`` maps each requested strategy to a read-only ``reps x periods``
+    float64 array, with a NaN row for each repetition the strategy failed.
+    Rows, failure counts and metadata are derived from it and ``config``.
+    """
+
+    config: ScenarioConfig
+    losses: dict
+
+    def __post_init__(self):
+        for values in self.losses.values():
+            values.flags.writeable = False
+
+    @functools.cached_property
+    def failed_reps(self):
+        """Failed repetitions per strategy: the NaN rows of its array."""
+        return {s: int(np.isnan(values[:, 0]).sum()) for s, values in self.losses.items()}
+
+    @functools.cached_property
+    def rows(self):
+        """One LossRow per strategy and period, strategy-major: the mean and
+        standard error over the repetitions the strategy completed."""
+        c = self.config
+        rows = []
+        for strategy, values in self.losses.items():
+            ok = ~np.isnan(values[:, 0])
+            failed = self.failed_reps[strategy]
+            for i in range(c.periods):
+                mean, stderr = mean_and_stderr(values[ok, i])
+                rows.append(LossRow(c.scenario, strategy, i + 1, c.p / c.n, mean, stderr, failed))
+        return tuple(rows)
+
+    @property
+    def metadata(self):
+        names = ("scenario", "p", "n", "periods", "reps", "seed")
+        fields = {name: str(getattr(self.config, name)) for name in names}
+        return {**fields, "strategies": ",".join(map(str, self.config.strategies))}
 
     def mean_loss(self, strategy, period):
         for row in self.rows:
@@ -332,15 +367,15 @@ class LossTable:
 
 
 def _run_repetition(config, rep, target, losses):
-    """Run repetition ``rep``, filling its row of ``losses`` in place.
+    """Run repetition ``rep``, filling row ``rep`` of each array in ``losses``.
 
     Blocks are drawn in period order and each is fed to every strategy
     still running before the next is drawn. Each strategy's sequence reads
     its blocks by popping a one-slot list that holds the block just drawn,
     so a strategy that asks for a block not yet drawn raises ``IndexError``.
-    A strategy whose sequence raises a singularity at any period gets NaN
-    for the whole repetition, which is how :func:`run_experiment` counts
-    it, is logged and gets no further blocks.
+    A strategy whose sequence raises a singularity at any period gets a NaN
+    row, which the :class:`LossTable` keeps and counts as a failed
+    repetition; it is logged and gets no further blocks.
     """
     rep_seq = np.random.SeedSequence(config.seed, spawn_key=(rep,))
     pop_seed, data_seed = rep_seq.spawn(2)
@@ -374,9 +409,10 @@ def run_experiment(config):
     Every repetition draws its own population and block sequence from a
     generator derived from ``(seed, rep)``, runs all requested strategies
     on the same blocks and records each strategy's relative loss after
-    every period. A repetition that fails with a singularity for some
-    strategy is excluded from that strategy's averages and counted, never
-    silently dropped.
+    every period. The returned :class:`LossTable` keeps those losses, one
+    array per strategy; a repetition that fails with a singularity for some
+    strategy is a NaN row there, excluded from the averages and counted,
+    never silently dropped.
 
     Each repetition runs in its own call and feeds every block to all
     strategies before drawing the next (see :func:`_run_repetition`), so
@@ -386,40 +422,8 @@ def run_experiment(config):
     order of the periods at which they failed, in strategy order only
     within one period.
     """
-    strategies = tuple(config.strategies)
-    periods = config.periods
-
-    losses = {s: np.full((config.reps, periods), np.nan) for s in strategies}
+    losses = {s: np.full((config.reps, config.periods), np.nan) for s in config.strategies}
     target = np.full(config.p, 1.0 / config.p)
-
     for rep in range(config.reps):
         _run_repetition(config, rep, target, losses)
-
-    rows = []
-    for strategy in strategies:
-        values = losses[strategy]
-        ok = ~np.isnan(values[:, 0])
-        for i in range(periods):
-            mean, stderr = mean_and_stderr(values[ok, i])
-            rows.append(
-                LossRow(
-                    scenario=config.scenario,
-                    strategy=strategy,
-                    period=i + 1,
-                    concentration=config.p / config.n,
-                    mean_loss=mean,
-                    stderr=stderr,
-                    failed_reps=int(np.count_nonzero(~ok)),
-                )
-            )
-
-    metadata = {
-        "scenario": config.scenario,
-        "p": str(config.p),
-        "n": str(config.n),
-        "periods": str(config.periods),
-        "reps": str(config.reps),
-        "seed": str(config.seed),
-        "strategies": ",".join(str(s) for s in strategies),
-    }
-    return LossTable(rows=tuple(rows), metadata=metadata)
+    return LossTable(config, losses)

@@ -9,8 +9,9 @@ Covers:
   paths refused before any output
 - the weights export / external replay round trip, and replay refusing a
   weights file whose asset columns do not match the returns file
-- input and output files being UTF-8 whatever the locale, and a file that
-  does not decode being a data error naming it
+- input and output files being UTF-8 whatever the locale, past a leading
+  byte-order mark; a file that does not decode, or output that standard
+  output's encoding cannot hold, being a data error
 - ``weights`` fitting only: it never evaluates its weight history, so an
   error only evaluation raises (wealth overflow) is a ``backtest`` error
 - every output's metadata being closed by the hash of its pairs
@@ -33,7 +34,7 @@ import pytest
 from gmvshrink import backtest, cli, sim
 from gmvshrink.cli import _build_parser, main
 from gmvshrink.core import SingularityError
-from gmvshrink.dataio import _parse_bulk, config_hash
+from gmvshrink.dataio import _parse_bulk, config_hash, read_external_weights, read_returns_csv
 
 LOSS_HEADER = "scenario,strategy,period,c,mean_loss,stderr,failed_reps"
 GOLDEN_RETURNS = Path(__file__).resolve().parent / "golden" / "returns.csv"
@@ -878,6 +879,52 @@ def test_non_ascii_asset_name_round_trips_under_an_ascii_locale(tmp_path):
         "--weights-file", str(ascii_weights), "--out", str(tmp_path / "report.txt"),
     )
     assert replay.returncode == 0, replay.stderr
+
+
+def test_non_ascii_output_to_an_ascii_standard_output_is_a_data_error(tmp_path):
+    csv_path = _write_returns(tmp_path / "r.csv", p=3, days=30, seed=43)
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"a0", "café".encode()))
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    argv = ["weights", "--input", str(csv_path), "--strategy", "1", "--n", "10", "--seed", "1"]
+    result = subprocess.run(
+        [sys.executable, "-m", "gmvshrink.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "gmvshrink: data error: standard output's encoding (ascii) cannot write this output; "
+        "write it with --out FILE, which is always UTF-8"
+    ]
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path, monkeypatch):
+    """A returns file and a weights file saved with a UTF-8 byte-order mark,
+    as spreadsheet exports write them, read as the same files without it,
+    and the commands write the same bytes."""
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    plain.mkdir()
+    bom.mkdir()
+    _write_returns(plain / "r.csv", p=5, days=60, seed=47)
+    (bom / "r.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "r.csv").read_bytes())
+    outputs = {}
+    for folder in (plain, bom):
+        monkeypatch.chdir(folder)
+        common = ["--input", "r.csv", "--n", "12", "--seed", "1"]
+        assert main(["weights", *common, "--strategy", "1", "--out", "w.csv"]) == 0
+        weights = (folder / "w.csv").read_bytes()
+        if folder is bom:
+            (folder / "w.csv").write_bytes(b"\xef\xbb\xbf" + weights)
+        replay = ["--strategy", "external", "--weights-file", "w.csv", "--out", "report.txt"]
+        assert main(["backtest", *common, *replay]) == 0
+        outputs[folder] = (weights, (folder / "report.txt").read_bytes())
+    assert outputs[bom] == outputs[plain]
+
+    dates, names, returns = read_returns_csv(plain / "r.csv")
+    bom_dates, bom_names, bom_returns = read_returns_csv(bom / "r.csv")
+    assert (bom_dates, bom_names) == (dates, names)
+    assert bom_returns.tobytes() == returns.tobytes()
+    history = read_external_weights(plain / "w.csv", asset_names=names)
+    bom_history = read_external_weights(bom / "w.csv", asset_names=names)
+    assert [w.tobytes() for w in bom_history] == [w.tobytes() for w in history]
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
     path.write_bytes(_mutated_text(rows, mutations).encode("utf-8"))
 
     try:
-        with open(path, newline="") as handle:
+        with dataio._open_in(path) as handle:
             expected = _parse_strict(path, handle)
     except DataFileError as exc:
         expected = exc

@@ -7,6 +7,8 @@ Covers:
 - each scenario's generated moments against its evaluation covariance
 - the experiment loop: row layout, targeted-strategy behavior,
   failure accounting, configuration validation
+- the loss table's kept per-repetition arrays, which its rows, failure
+  counts and ``mean_loss`` reduce, and the README's paired example on them
 - the streamed loop against a strategy-major reference over materialized
   blocks, and its working set staying flat in the number of periods
 """
@@ -14,7 +16,9 @@ Covers:
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from gmvshrink.sim import (
     spectrum_for,
 )
 from gmvshrink.strategies import STRATEGY_IDS, weight_sequence
+
+
+_NUMBER = re.compile(r"-?\d+\.\d+")
 
 
 def _relative_frobenius(actual, expected):
@@ -377,6 +384,61 @@ def test_failed_rep_is_counted_and_excluded(monkeypatch):
             assert math.isfinite(row.mean_loss)
         else:
             assert row.failed_reps == 0
+
+
+def test_loss_table_rows_reduce_its_kept_arrays(monkeypatch):
+    """Every row's mean, standard error and failure count is recomputed from
+    the kept per-repetition arrays, with one repetition of strategy 5 failed."""
+    original = sim.weight_sequence
+    calls = {"n": 0}
+
+    def flaky(blocks, strategy, target):
+        if strategy == 5:
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise SingularityError("injected failure", n_assets=len(target))
+        yield from original(blocks, strategy, target)
+
+    monkeypatch.setattr(sim, "weight_sequence", flaky)
+    config = _small_config(strategies=(5, 1, 6), reps=4)
+    table = run_experiment(config)
+    assert list(table.losses) == [5, 1, 6]
+    assert np.isnan(table.losses[5][1]).all()
+    assert np.isfinite(np.delete(table.losses[5], 1, axis=0)).all()
+    assert table.failed_reps == {5: 1, 1: 0, 6: 0}
+    assert len(table.rows) == 3 * config.periods
+    for row in table.rows:
+        values = table.losses[row.strategy]
+        assert values.shape == (config.reps, config.periods) and values.dtype == np.float64
+        done = values[~np.isnan(values[:, 0]), row.period - 1]
+        assert row.failed_reps == config.reps - done.size
+        assert row.mean_loss == done.mean()
+        assert row.stderr == done.std(ddof=1) / math.sqrt(done.size)
+        assert table.mean_loss(row.strategy, row.period) == row.mean_loss
+    for values in table.losses.values():
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+    for strategy, period in [(2, 1), (5, 0), (5, config.periods + 1)]:
+        with pytest.raises(KeyError):
+            table.mean_loss(strategy, period)
+
+
+def test_readme_paired_difference_example_prints_its_comments(capsys):
+    """The README's paired-difference example runs, and each printed number
+    matches the one in its line's comment to the decimals shown there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    code = next(block for block in blocks if ".losses" in block)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 2
+    for out, comment in zip(printed, comments):
+        got, shown = _NUMBER.findall(out), _NUMBER.findall(comment)
+        assert len(got) == len(shown) == 1, (out, comment)
+        assert round(float(got[0]), len(shown[0].split(".")[1])) == float(shown[0]), (out, comment)
 
 
 def _strategy_major_rows(config):

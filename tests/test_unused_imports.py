@@ -1,11 +1,19 @@
-"""Every name a package module imports is read by that module, and every
-text file it opens names its encoding.
+"""Every name a package module imports is read by that module, every
+private module-level definition is read by some module, and every text
+file a module opens names its encoding.
 
 No linter runs on this tree, so this test stands in for the unused-import
 check: it parses each module of ``src/gmvshrink`` and fails on any name an
 ``import`` binds that no expression of the module reads. ``__future__``
 imports are exempt. ``KEPT`` lists the re-exports that are imported only
 to be read from outside the module; each entry says who reads it.
+
+A module-level function, class or constant whose name starts with one
+underscore is private to the package; one that no module of
+``src/gmvshrink`` reads, by name, attribute or ``from`` import, is dead
+code and fails, even when a test reads it. A read of the same name in any
+module counts, so the check never flags a helper that is read, at the cost
+of missing a dead one that shares its name with a live one.
 
 The same parse fails on any ``open()`` call in text mode without an
 ``encoding`` argument, which would read and write in the locale's encoding.
@@ -68,6 +76,50 @@ def test_kept_re_exports_are_still_unread_where_they_are_imported():
         for name in unused_imports(path.read_text())
     }
     assert found == KEPT
+
+
+def unread_private_definitions(sources):
+    """``(module, name)`` of each private module-level definition in
+    ``sources``, a mapping of module name to source, that no module reads."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((module, n) for n in names if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {(module, name) for module, name in defined if name not in read}
+
+
+def test_private_finder_sees_unread_definitions_across_modules():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_unused = 1\n_typed: int = 0\n__all__ = []\n"
+            "def _helper():\n    return _LIMIT\n"
+            "def _by_attribute():\n    pass\n"
+            "class _Dead:\n    def _method(self):\n        pass\n"
+        ),
+        "b": "from .a import _helper\nfrom . import a\na._by_attribute()\n",
+    }
+    assert unread_private_definitions(sources) == {("a", "_unused"), ("a", "_typed"), ("a", "_Dead")}
+
+
+def test_package_reads_every_private_definition():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    dead = unread_private_definitions(sources)
+    assert not dead, f"private definitions no module reads: {sorted(dead)}"
 
 
 def opens_without_encoding(source):
