@@ -32,7 +32,6 @@ _EXPORTS = {
     "PooledStats": "core",
     # strategy driver
     "STRATEGY_IDS": "strategies",
-    "one_period_shrinkage": "strategies",
     "weight_sequence": "strategies",
     # random-matrix kernels
     "GramSpec": "rmt",

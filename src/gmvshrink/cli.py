@@ -100,15 +100,9 @@ def _checking_arguments():
         raise _ConfigError(exc) from None
 
 
-def _at_least_one(flag, value):
-    if value < 1:
-        raise _ConfigError(f"{flag} must be at least 1, got {value}")
-
-
-def _non_negative_seed(seed):
-    # numpy seeds are non-negative integers of any size
-    if seed < 0:
-        raise _ConfigError(f"--seed must be at least 0, got {seed}")
+def _at_least(flag, value, least):
+    if value < least:
+        raise _ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def _parse_strategies(text):
@@ -120,7 +114,8 @@ def _parse_strategies(text):
 
 
 def _cmd_simulate(args):
-    _non_negative_seed(args.seed)
+    # numpy seeds are non-negative integers of any size
+    _at_least("--seed", args.seed, 0)
     _refuse_bad_outputs(args)
     strategies = _parse_strategies(args.strategies)
     if args.reps > DESK_SCALE_REPS and not args.full:
@@ -203,9 +198,9 @@ def _run_file_backtest(args):
     """Read the returns, then fit the strategy or read the weights file."""
     strategy = _strategy_arg(args)
     _refuse_bad_outputs(args)
-    _at_least_one("--n", args.n)
+    _at_least("--n", args.n, 1)
     if args.T is not None:
-        _at_least_one("--T", args.T)
+        _at_least("--T", args.T, 1)
     dates, names, returns = read_returns_csv(args.input)
     _refuse_price_levels(args.input, names, returns)
     p, total_days = returns.shape
@@ -251,8 +246,8 @@ def _cmd_weights(args):
 
 
 def _cmd_check_rmt(args):
-    _non_negative_seed(args.seed)
-    _at_least_one("--reps", args.reps)
+    _at_least("--seed", args.seed, 0)
+    _at_least("--reps", args.reps, 1)
     with _checking_arguments():
         # the single-window kinds draw only from p, n and form
         spec = GramSpec(args.p, args.n, args.m, form=args.form)
@@ -306,6 +301,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="Monte Carlo strategy comparison")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--scenario", required=True, choices=SCENARIOS)
     sim.add_argument("--p", required=True, type=int, help="number of assets")
     sim.add_argument("--n", required=True, type=int, help="observations per window")
@@ -333,6 +329,7 @@ def _build_parser():
 
     strategy_ids = [str(s) for s in STRATEGY_IDS]
     bt = sub.add_parser("backtest", help="run one strategy over a returns file")
+    bt.set_defaults(handler=_cmd_backtest)
     add_file_args(bt, strategy_ids + [EXTERNAL_STRATEGY])
     bt.add_argument("--drift", action="store_true", help="let holdings drift within periods")
     bt.add_argument("--weights-file", help="per-period weights CSV, required with --strategy external")
@@ -341,11 +338,12 @@ def _build_parser():
     # fitted weights do not depend on drift, and replayed ones are the input
     wt = sub.add_parser("weights", help="export per-period weight vectors")
     add_file_args(wt, strategy_ids)
-    wt.set_defaults(drift=False, weights_file=None, wealth_out=None)
+    wt.set_defaults(handler=_cmd_weights, drift=False, weights_file=None)
 
     rmt = sub.add_parser(
         "check-rmt", help="closed-form limits vs Monte Carlo quadratic forms"
     )
+    rmt.set_defaults(handler=_cmd_check_rmt)
     rmt.add_argument("--p", required=True, type=int)
     rmt.add_argument("--n", required=True, type=int)
     rmt.add_argument("--m", type=int, default=0, help="extension sample size (0: skip cross kinds)")
@@ -356,20 +354,12 @@ def _build_parser():
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "backtest": _cmd_backtest,
-    "weights": _cmd_weights,
-    "check-rmt": _cmd_check_rmt,
-}
-
-
 def main(argv=None):
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except Exception as exc:
         for types, exit_code, kind in _EXIT_CODES:
             if isinstance(exc, types):

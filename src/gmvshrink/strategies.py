@@ -33,17 +33,6 @@ STRATEGY_IDS = (1, 2, 3, 4, 5, 6, 7)
 PIPELINES = {1: ("fixed", False), 2: ("fixed", True), 3: ("replay", False), 4: ("replay", True)}
 
 
-def one_period_shrinkage(block, target):
-    """Single-window shrinkage of the sample portfolio toward a target.
-
-    Estimates the target's relative loss from the block and blends the
-    block's sample minimum-variance portfolio with the target at the
-    resulting intensity: the first fixed-mode step of the shrinkage
-    pipeline. Memoryless: each call starts from the target again.
-    """
-    return nonoverlap.init(target, first_block=block, mode="fixed").weights
-
-
 def weight_sequence(blocks, strategy, target):
     """Yield the recorded weight vector after each consumed block.
 
@@ -76,4 +65,4 @@ def weight_sequence(blocks, strategy, target):
             yield target.copy()
     else:  # strategy 7
         for block in blocks:
-            yield one_period_shrinkage(block, target)
+            yield nonoverlap.init(target, first_block=block, mode="fixed").weights

@@ -122,6 +122,17 @@ def test_simulate_reps_cap_requires_full_flag(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_simulate_full_flag_lifts_reps_cap(capsys):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "5", "--n", "7", "--T", "1",
+            "--reps", "1001", "--full", "--strategies", "6", "--seed", "1",
+        ]
+    )
+    assert rc == 0
+    assert "# reps: 1001\n" in capsys.readouterr().out
+
+
 def test_simulate_rejects_bad_strategy_list(capsys):
     rc = main(
         [

@@ -255,6 +255,17 @@ def test_first_weights_agree_across_strategies_bitwise():
         assert np.array_equal(weights, first[0])
 
 
+def test_strategy_7_is_memoryless_bitwise():
+    """Strategy 7's weights on each block are strategy 1's first weights
+    on that block alone: nothing carries over from earlier blocks."""
+    p = 30
+    blocks = generate(build_population(p, 5), "t5", 4 * 40, np.random.default_rng(5))
+    blocks = np.split(blocks, 4, axis=1)
+    target = np.full(p, 1.0 / p)
+    for block, weights in zip(blocks, weight_sequence(blocks, 7, target), strict=True):
+        assert np.array_equal(weights, next(weight_sequence([block], 1, target)))
+
+
 def test_first_window_must_exceed_asset_count():
     rng = np.random.default_rng(151)
     with pytest.raises(InsufficientSampleError):
