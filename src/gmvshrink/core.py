@@ -29,20 +29,9 @@ class DimensionError(ValueError):
 
 
 class SingularityError(ValueError):
-    """Raised when a covariance matrix cannot be treated as positive-definite.
-
-    Attributes
-    ----------
-    n_assets : int
-        Dimension of the offending matrix.
-    n_obs : int or None
-        Sample size behind the matrix, when the caller knows it.
-    """
-
-    def __init__(self, message, n_assets=None, n_obs=None):
-        super().__init__(message)
-        self.n_assets = n_assets
-        self.n_obs = n_obs
+    """Raised when a covariance matrix cannot be treated as positive-definite;
+    a message from :func:`solve_spd` names the matrix's dimension ``p`` and,
+    where the caller knows it, the sample size ``n``."""
 
 
 class InsufficientSampleError(ValueError):
@@ -159,9 +148,7 @@ def solve_spd(mat, rhs, n_obs=None):
         factor = linalg.cho_factor(mat, lower=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularityError(
-            f"covariance matrix of dimension p={p} is not positive-definite{sample}",
-            n_assets=p,
-            n_obs=n_obs,
+            f"covariance matrix of dimension p={p} is not positive-definite{sample}"
         ) from exc
     # Rounding can let an exactly rank-deficient matrix through the
     # factorization with a pivot at roundoff level; treat that as singular.
@@ -179,7 +166,7 @@ def solve_spd(mat, rhs, n_obs=None):
         )
     else:
         return linalg.cho_solve(factor, np.asarray(rhs, dtype=np.float64), check_finite=False)
-    raise SingularityError(f"covariance matrix of dimension p={p} is {state}", n_assets=p, n_obs=n_obs)
+    raise SingularityError(f"covariance matrix of dimension p={p} is {state}")
 
 
 def _solve_ones(cov, n_obs):
@@ -188,11 +175,7 @@ def _solve_ones(cov, n_obs):
     solved = solve_spd(cov, np.ones(cov.shape[0]), n_obs=n_obs)
     total = float(solved.sum())
     if total <= 0.0:
-        raise SingularityError(
-            "quadratic form 1'S^{-1}1 is not positive (matrix treated as singular)",
-            n_assets=cov.shape[0],
-            n_obs=n_obs,
-        )
+        raise SingularityError("quadratic form 1'S^{-1}1 is not positive (matrix treated as singular)")
     return solved, total
 
 
@@ -217,15 +200,12 @@ def gmv_weights(cov, n_obs=None):
 
 
 def sample_gmv_weights(returns):
-    """Sample minimum-variance weights estimated from one returns block."""
+    """Sample minimum-variance weights of one returns block; a block that fails
+    the shared rule ``n > p + 1`` raises :class:`InsufficientSampleError`."""
     block = as_returns_block(returns)
-    p, n = block.shape
-    if n <= p:
-        raise InsufficientSampleError(
-            f"sample minimum-variance weights need n > p, got p={p}, n={n}"
-        )
+    require_window(*block.shape)
     _, cov = sample_moments(block)
-    return gmv_weights(cov, n_obs=n)
+    return gmv_weights(cov, n_obs=block.shape[1])
 
 
 def portfolio_variance(weights, cov):

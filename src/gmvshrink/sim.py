@@ -146,7 +146,7 @@ def spectrum_for(p):
 def _symmetric_sqrt(mat):
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     if eigenvalues[0] <= 0.0:
-        raise SingularityError("matrix is not positive-definite", n_assets=mat.shape[0])
+        raise SingularityError("matrix is not positive-definite")
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
 
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from . import nonoverlap
 from .core import (
-    as_returns_block,
     as_weight_vector,
     gmv_weights,  # noqa: F401  (an alias perfbench/tests/tracer_checks.py reads)
-    require_window,
     sample_gmv_weights,
 )
 
@@ -57,8 +55,6 @@ def weight_sequence(blocks, strategy, target):
             yield state.weights
     elif strategy == 5:
         for block in blocks:
-            block = as_returns_block(block)
-            require_window(*block.shape)
             yield sample_gmv_weights(block)
     elif strategy == 6:
         for _block in blocks:

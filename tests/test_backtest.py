@@ -152,6 +152,11 @@ def test_turnover_averages_over_periods():
     assert turnover(history, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
+def test_turnover_of_no_periods_is_value_error():
+    with pytest.raises(ValueError, match="empty weights history"):
+        turnover([], np.array([0.5, 0.5]))
+
+
 # ---------------------------------------------------------------------------
 # wealth compounding
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ Covers:
 """
 
 import argparse
+import importlib
 import os
 import re
 import shlex
@@ -165,7 +166,7 @@ def test_simulate_every_repetition_of_a_strategy_failing_is_numerical_error(
 
     def failing(blocks, strategy, target):
         if strategy == 5:
-            raise SingularityError("injected failure", n_assets=len(target))
+            raise SingularityError("injected failure")
         yield from original(blocks, strategy, target)
 
     monkeypatch.setattr(sim, "weight_sequence", failing)
@@ -467,8 +468,9 @@ def test_backtest_missing_file_is_data_error(tmp_path, capsys):
         ("", ": file is empty"),
         ("date,a,,b\n2020-01-01,0.1,0.2,0.3\n", ", line 1: empty asset column name"),
         ("date\n2020-01-01\n", ", line 1: no asset columns"),
+        ("\ndate,a\n2020-01-01,0.1\n2020-01-02,0.2\n", ", line 1: empty header"),
     ],
-    ids=["empty-file", "empty-asset-name", "no-asset-columns"],
+    ids=["empty-file", "empty-asset-name", "no-asset-columns", "blank-first-line"],
 )
 def test_backtest_malformed_returns_header_is_data_error(tmp_path, capsys, content, message):
     path = tmp_path / "r.csv"
@@ -1054,6 +1056,23 @@ def test_seed_beyond_64_bits_is_accepted(capsys, command):
 def test_unknown_subcommand_is_a_parse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_every_package_exception_has_an_exit_code():
+    """An exception class of the package that no ``_EXIT_CODES`` rule
+    covers would end the command in a traceback with exit 1."""
+    package = Path(cli.__file__).parent
+    errors = [
+        value
+        for module in sorted(package.glob("*.py"))
+        for value in vars(importlib.import_module(f"gmvshrink.{module.stem}")).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == f"gmvshrink.{module.stem}"
+    ]
+    assert len(errors) >= 6
+    covered = tuple(types for types, _, _ in cli._EXIT_CODES)  # issubclass reads nested tuples
+    assert [error.__name__ for error in errors if not issubclass(error, covered)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ def test_sample_gmv_weights_needs_tall_block():
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientSampleError):
         sample_gmv_weights(rng.standard_normal((5, 4)))
+    with pytest.raises(InsufficientSampleError, match=r"n > p \+ 1, got p=5, n=6"):
+        sample_gmv_weights(rng.standard_normal((5, 6)))
 
 
 def test_portfolio_variance_cases():
@@ -152,6 +154,16 @@ def test_gmv_variance_identity():
 def test_portfolio_variance_dimension_mismatch():
     with pytest.raises(DimensionError):
         portfolio_variance(np.array([0.5, 0.5]), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda mat: solve_spd(mat, np.ones(2)), lambda mat: portfolio_variance(np.ones(2) / 2, mat)],
+    ids=["solve_spd", "portfolio_variance"],
+)
+def test_non_square_matrix_is_dimension_error(call):
+    with pytest.raises(DimensionError, match=r"square .*shape \(2, 3\)"):
+        call(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +311,14 @@ def test_solve_spd_refuses_near_duplicate_asset():
     with pytest.raises(SingularityError, match="near-singular") as info:
         solve_spd(with_copy(1e-9), np.ones(7), n_obs=55)
     assert "p=7" in str(info.value) and "n=55" in str(info.value)
-    assert (info.value.n_assets, info.value.n_obs) == (7, 55)
 
 
 def test_solve_spd_reports_dimensions_on_failure():
     singular = np.ones((3, 3))
     with pytest.raises(SingularityError) as info:
         solve_spd(singular, np.ones(3), n_obs=9)
-    assert info.value.n_assets == 3
-    assert info.value.n_obs == 9
+    assert "dimension p=3" in str(info.value)
+    assert "(sample size n=9)" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +396,18 @@ def test_pooled_stats_updates_do_not_mutate():
     count_before = first.count
     first.updated(rng.standard_normal((3, 4)))
     assert first.count == count_before
+
+
+@pytest.mark.parametrize(
+    ("call", "error"),
+    [
+        (lambda: PooledStats(3).updated(np.ones((4, 5))), DimensionError),
+        (lambda: PooledStats(3).mean(), InsufficientSampleError),
+        (lambda: PooledStats(3).updated(np.ones((3, 1))).cov(), InsufficientSampleError),
+    ],
+    ids=["updated-wrong-assets", "mean-empty", "cov-one-observation"],
+)
+def test_pooled_stats_refusals(call, error):
+    """The type decides the exit code the CLI reports."""
+    with pytest.raises(error):
+        call()

@@ -3,13 +3,15 @@
 Covers:
 - strict returns-CSV validation with located error messages
 - the bulk returns parser agreeing with the strict row parser, also on
-  chunk edges and with CRLF line ends, and the working set of both
+  chunk edges, with CRLF line ends and on a file whose row count changed
+  after it was counted, and the working set of both
 - the external-weights reader and its round trip with the writer
 - metadata hashing determinism
 """
 
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -306,6 +308,24 @@ def test_crlf_file_takes_the_bulk_path(tmp_path):
     assert peak < 2 * got.nbytes
 
 
+@pytest.mark.parametrize("offset", [-1, 1, -300, 5])
+def test_bulk_parser_refuses_a_file_whose_row_count_changed(offset):
+    """A file that gains or loses rows between the row count and the parse
+    goes to the strict parser, which reads it like an unchanged file. Fewer
+    rows than counted fail the ``done != rows`` check, more rows than
+    counted the chunk's ``stop > out.shape[1]`` check."""
+    path = str(Path(__file__).parent / "golden" / "returns.csv")
+    expected = read_returns_csv(path)
+    true_count = dataio._count_rows
+    with mock.patch.object(dataio, "_count_rows", lambda handle: true_count(handle) + offset):
+        with open(path, "rb") as handle:
+            assert dataio._parse_bulk(path, handle) is None
+        dates, names, got = read_returns_csv(path)
+    assert (dates, names) == expected[:2]
+    assert got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == expected[2].tobytes()
+
+
 @pytest.mark.parametrize(
     ("assets", "days", "bound"), [(25, 2_000, 3.5), (200, 2_000, 2.5)], ids=["25x2000", "200x2000"]
 )
@@ -348,6 +368,11 @@ def _check_weights_roundtrip(tmp_path, names):
 
 def test_weights_roundtrip(tmp_path):
     _check_weights_roundtrip(tmp_path, ["x", "y", "z"])
+
+
+def test_weights_writer_refuses_a_name_count_other_than_the_length(tmp_path):
+    with pytest.raises(DataFileError, match="2 asset names for weight vectors of length 3"):
+        write_weights_csv([np.ones(3) / 3], ["x", "y"], str(tmp_path / "w.csv"), {})
 
 
 @pytest.mark.parametrize(

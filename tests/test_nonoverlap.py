@@ -98,6 +98,20 @@ def test_next_loss_values():
         next_loss(1.5, 0.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: feasible_intensity(10, 5, -0.1),
+        lambda: next_loss(0.5, 1.5, 1.0),
+        lambda: next_loss(0.5, 0.5, -0.1),
+    ],
+    ids=["feasible-negative-loss", "next-loss-c-above-one", "next-loss-negative-loss"],
+)
+def test_recursion_inputs_out_of_range_are_value_errors(call):
+    with pytest.raises(ValueError, match="must"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # harmonic identity and risk improvement
 # ---------------------------------------------------------------------------

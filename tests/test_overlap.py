@@ -127,6 +127,14 @@ def test_intensity_hand_values():
     assert optimal_intensity(1.0, 5 / 6, 0.5) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    ("prev_loss", "c"), [(1.0, 1.5), (-0.1, 0.5)], ids=["c-above-one", "negative-loss"]
+)
+def test_intensity_inputs_out_of_range_are_value_errors(prev_loss, c):
+    with pytest.raises(ValueError, match="must"):
+        optimal_intensity(prev_loss, 1.0, c)
+
+
 def test_intensity_degenerate_denominator():
     # (R+1) + (1-C)^{-1} - 2K = 1 + 2 - 3 = 0
     with pytest.raises(DegenerateInputError):

@@ -126,6 +126,8 @@ def test_mc_input_validation():
         mc_quadratic_form(spec, "inv", reps=0, seed=1)
     with pytest.raises(ValueError):
         mc_quadratic_form(spec, "cross", reps=5, seed=1)  # m defaults to 0
+    with pytest.raises(ValueError, match="unknown tails"):
+        mc_quadratic_form(spec, "inv", reps=1, seed=1, tails="cauchy")
 
 
 def test_gram_spec_validation():

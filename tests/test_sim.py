@@ -373,7 +373,7 @@ def test_failed_rep_is_counted_and_excluded(monkeypatch):
         if strategy == 5:
             calls["n"] += 1
             if calls["n"] == 1:
-                raise SingularityError("injected failure", n_assets=len(target))
+                raise SingularityError("injected failure")
         yield from original(blocks, strategy, target)
 
     monkeypatch.setattr(sim, "weight_sequence", flaky)
@@ -396,7 +396,7 @@ def test_loss_table_rows_reduce_its_kept_arrays(monkeypatch):
         if strategy == 5:
             calls["n"] += 1
             if calls["n"] == 2:
-                raise SingularityError("injected failure", n_assets=len(target))
+                raise SingularityError("injected failure")
         yield from original(blocks, strategy, target)
 
     monkeypatch.setattr(sim, "weight_sequence", flaky)
@@ -501,7 +501,7 @@ def _failing_mid_sequence(failing):
         fail_at = failing.get((strategy, rep))
         for period, weights in enumerate(original(blocks, strategy, target), start=1):
             if period == fail_at:
-                raise SingularityError("injected failure", n_assets=len(target))
+                raise SingularityError("injected failure")
             yield weights
 
     return weight_sequence
