@@ -375,8 +375,7 @@ def write_perf_report(report, path, metadata):
         handle.write("report-version: 1\n")
         for key in metadata:
             handle.write(f"{key}: {metadata[key]}\n")
-        if metadata:
-            handle.write(f"config-hash: {config_hash(metadata)}\n")
+        handle.write(f"config-hash: {config_hash(metadata)}\n")
         for key, value in zip(report._fields[:-1], report[:-1]):
             handle.write(f"{key}: {_fmt(value)}\n")
 

@@ -138,11 +138,26 @@ def next_loss(intensity, c, prev_loss, excess=0.0):
     return max(0.0, value)
 
 
-def _advance(loss, share, n_obs, n_assets, extending):
-    """One period of the recursion: the intensity, advanced loss and target share."""
-    excess = cross_excess(share, n_obs, n_assets) if extending else 0.0
-    psi = feasible_intensity(n_obs, n_assets, loss, excess)
-    return psi, next_loss(psi, n_assets / n_obs, loss, excess), share * (1.0 - psi)
+class PeriodRecord(NamedTuple):
+    """Per-period trace: window size, applied intensity, advanced loss and the
+    target's remaining share ``prod(1 - psi)`` after the period."""
+
+    n_obs: int
+    intensity: float
+    loss: float
+    target_share: float
+
+
+def _records(loss, share, sizes, n_assets, extending):
+    """Run the recursion from ``loss`` and ``share``: one record per window size."""
+    records = []
+    for n in sizes:
+        excess = cross_excess(share, n, n_assets) if extending else 0.0
+        psi = feasible_intensity(n, n_assets, loss, excess)
+        loss = next_loss(psi, n_assets / n, loss, excess)
+        share *= 1.0 - psi
+        records.append(PeriodRecord(n, psi, loss, share))
+    return records
 
 
 def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
@@ -152,27 +167,11 @@ def replay_intensities(initial_loss, sample_sizes, n_assets, extending=False):
     by starting from ``initial_loss`` and consuming windows of the given
     sizes. With ``extending`` the sizes are pooled counts ``N_1 < N_2 < ...``
     and each period's mixing excess follows from the target's remaining
-    share ``prod(1 - psi)``. Pure scalar arithmetic, one :func:`_advance`
-    per window, as in :func:`step`; used by the replay mode, by
-    deterministic schedules and by tests.
+    share ``prod(1 - psi)``. Pure scalar arithmetic over the same period
+    records that :func:`step` keeps, for a schedule fixed in advance.
     """
-    intensities, losses = [], []
-    loss, share = float(initial_loss), 1.0
-    for n in sample_sizes:
-        psi, loss, share = _advance(loss, share, n, n_assets, extending)
-        intensities.append(psi)
-        losses.append(loss)
-    return intensities, losses
-
-
-class PeriodRecord(NamedTuple):
-    """Per-period trace: window size, applied intensity, advanced loss and the
-    target's remaining share ``prod(1 - psi)`` after the period."""
-
-    n_obs: int
-    intensity: float
-    loss: float
-    target_share: float
+    records = _records(float(initial_loss), 1.0, sample_sizes, n_assets, extending)
+    return [rec.intensity for rec in records], [rec.loss for rec in records]
 
 
 @dataclass(frozen=True)
@@ -271,20 +270,18 @@ def step(state, block):
     sample_weights = gmv_weights(cov, n_obs=n)
 
     if state.mode == "fixed" and state.period > 0:
-        psi, loss, share = _advance(state.loss, state.target_share, n, p, state.extending)
+        start, share, sizes = state.loss, state.target_share, [n]
     else:
         # start over: estimate the target loss (in replay on fresh windows,
         # from everything pooled) and rerun the recursion to date
         fresh_replay = state.mode == "replay" and not state.extending
         window = (pooled.cov(), pooled.count) if fresh_replay else (cov, n)
         start = estimate_target_loss_from_cov(*window, state.target)
-        sizes = [rec.n_obs for rec in state.history] + [n]
-        intensities, losses = replay_intensities(start, sizes, p, state.extending)
-        share = math.prod(1.0 - x for x in intensities)
-        psi, loss = intensities[-1], losses[-1]
+        share, sizes = 1.0, [rec.n_obs for rec in state.history] + [n]
+    record = _records(start, share, sizes, p, state.extending)[-1]
     return replace(
         state,
-        weights=psi * sample_weights + (1.0 - psi) * state.weights,
-        history=state.history + (PeriodRecord(n, psi, loss, share),),
+        weights=record.intensity * sample_weights + (1.0 - record.intensity) * state.weights,
+        history=state.history + (record,),
         pooled=pooled,
     )

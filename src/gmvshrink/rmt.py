@@ -59,8 +59,6 @@ class CrossResolventConstant:
     """Closed-form constant for the nested-window cross quadratic form."""
 
     d: float
-    a: float
-    b: float
 
 
 def resolvent_limits(c):
@@ -82,18 +80,15 @@ def cross_resolvent_constant(n, m, p):
 
     ``d = (1 - p/n)^{-1} (1 - (p/n)/b)^{-2}``: the limit
     ``(1 - p/n)^{-1} (1 - p/N)^{-2}`` with the window ratio ``N/n`` replaced
-    by its finite-size counterpart ``b``. ``a`` and ``b`` are the auxiliary
-    constants; ``b / a`` always equals ``(n + m) / (n + m - p)`` exactly.
+    by its finite-size counterpart ``b = (n + m - 1)/(n - 1)``.
     """
     if not 2 < p < n:
         raise ValueError(f"need 2 < p < n, got p={p}, n={n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    a = (n + m - p) / (n + m) * (n + m - 1) / (n - 1)
     b = (n + m - 1) / (n - 1)
     cn = p / n
-    d = 1.0 / ((1.0 - cn) * (1.0 - cn / b) ** 2)
-    return CrossResolventConstant(d=d, a=a, b=b)
+    return CrossResolventConstant(d=1.0 / ((1.0 - cn) * (1.0 - cn / b) ** 2))
 
 
 def direction_vector(p, seed):

@@ -105,6 +105,12 @@ def test_returns_block_rejects_zero_assets():
         as_returns_block(np.empty((0, 5)))
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1-d", "3-d"])
+def test_returns_block_of_other_rank_is_dimension_error(shape):
+    with pytest.raises(DimensionError, match=f"must be 2-D .*ndim={len(shape)}"):
+        as_returns_block(np.ones(shape))
+
+
 def test_package_exports_resolve():
     """Every lazily exported name loads, and ``__all__`` lists exactly them."""
     for name in gmvshrink._EXPORTS:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from gmvshrink import nonoverlap
 from gmvshrink.core import (
+    DegenerateInputError,
     DimensionError,
     InsufficientSampleError,
     estimate_target_loss_from_cov,
@@ -110,6 +111,12 @@ def test_next_loss_values():
 def test_recursion_inputs_out_of_range_are_value_errors(call):
     with pytest.raises(ValueError, match="must"):
         call()
+
+
+def test_feasible_intensity_degenerate_denominator():
+    # 10 (0 - 0.25) + 5 (1 - 0.25 / 0.5) = 0 exactly
+    with pytest.raises(DegenerateInputError, match="degenerate intensity denominator"):
+        feasible_intensity(15, 5, 0.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
