@@ -209,6 +209,10 @@ def _run_file_backtest(args):
         raise DataFileError(
             f"series has {total_days} observations, shorter than one window of {args.n}"
         )
+    if args.n * periods > total_days:  # checked first: the schedule holds an entry per period
+        raise InsufficientSampleError(
+            f"series has {total_days} observations, schedule needs {args.n * periods}"
+        )
     schedule = RebalanceSchedule.uniform(args.n, periods)
     target = np.full(p, 1.0 / p)
     if strategy == EXTERNAL_STRATEGY:

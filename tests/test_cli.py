@@ -15,6 +15,9 @@ Covers:
 - ``weights`` fitting only: it never evaluates its weight history, so an
   error only evaluation raises (wealth overflow) is a ``backtest`` error
 - every output's metadata being closed by the hash of its pairs
+- numpy first loading under ``import gmvshrink.cli``, with every thread
+  variable already pinned to 1 (``import gmvshrink`` loads neither numpy
+  nor scipy)
 - README.md naming exactly the options the parser defines, and each
   README example parsing as its subcommand
 """
@@ -779,16 +782,18 @@ def test_wealth_overflow_is_a_backtest_error_not_a_weights_error(tmp_path, capsy
 @pytest.mark.parametrize("command", ["weights", "backtest"])
 def test_schedule_longer_than_the_series_is_data_error(tmp_path, capsys, command):
     csv_path = _write_returns(tmp_path / "r.csv", p=3, days=40, seed=47)
-    rc = main(
-        [command, "--input", str(csv_path), "--strategy", "6",
-         "--n", "10", "--T", "5", "--seed", "1"]
-    )
-    assert rc == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "gmvshrink: data error: series has 40 observations, schedule needs 50\n"
-    )
+    # 10**20 periods cannot be built at all: the check must come first
+    for periods in (5, 10**20):
+        rc = main(
+            [command, "--input", str(csv_path), "--strategy", "6",
+             "--n", "10", "--T", str(periods), "--seed", "1"]
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gmvshrink: data error: series has 40 observations, schedule needs {10 * periods}\n"
+        )
 
 
 def _edit_asset_columns(text, edit):
@@ -1073,6 +1078,36 @@ def test_every_package_exception_has_an_exit_code():
     assert len(errors) >= 6
     covered = tuple(types for types, _, _ in cli._EXIT_CODES)  # issubclass reads nested tuples
     assert [error.__name__ for error in errors if not issubclass(error, covered)] == []
+
+
+# ---------------------------------------------------------------------------
+# import order
+# ---------------------------------------------------------------------------
+
+_NUMPY_IMPORTS = """
+import os, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy":
+        seen.append([os.environ[var] for var in sys.argv[1:]])
+sys.addaudithook(hook)
+import gmvshrink
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+import gmvshrink.cli
+print(seen)
+"""
+
+
+def test_numpy_first_loads_with_every_thread_variable_pinned():
+    """``import gmvshrink`` loads no numpy, so ``import gmvshrink.cli`` is
+    where numpy first loads, after it has set every thread variable to 1."""
+    env = {**os.environ, **{var: "4" for var in cli._THREAD_VARS}}
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_IMPORTS, *cli._THREAD_VARS],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", repr([["1"] * len(cli._THREAD_VARS)])]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ Covers:
 - the consistent target-loss estimator and its clamp
 - pooled running statistics
 - full-investment, optimality, and scale-equivariance properties
-- the package's lazy exports
 """
 
 from pathlib import Path
@@ -17,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gmvshrink
 from gmvshrink.core import (
     DimensionError,
     InsufficientSampleError,
@@ -109,13 +107,6 @@ def test_returns_block_rejects_zero_assets():
 def test_returns_block_of_other_rank_is_dimension_error(shape):
     with pytest.raises(DimensionError, match=f"must be 2-D .*ndim={len(shape)}"):
         as_returns_block(np.ones(shape))
-
-
-def test_package_exports_resolve():
-    """Every lazily exported name loads, and ``__all__`` lists exactly them."""
-    for name in gmvshrink._EXPORTS:
-        getattr(gmvshrink, name)  # AttributeError if its module lacks it
-    assert sorted(gmvshrink.__all__) == sorted([*gmvshrink._EXPORTS, "__version__"])
 
 
 # ---------------------------------------------------------------------------
