@@ -15,8 +15,6 @@ holding period), so the weight on an asset grows when the asset
 outperforms the portfolio.
 """
 
-from __future__ import annotations
-
 import logging
 import operator
 from dataclasses import dataclass

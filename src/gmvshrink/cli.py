@@ -14,8 +14,6 @@ thread before numpy loads, which is why this module must be imported
 before anything that pulls numpy in.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import logging
@@ -42,6 +40,7 @@ from .core import (  # noqa: E402
     DimensionError,
     InsufficientSampleError,
     SingularityError,
+    require_arrays_fit,
 )
 from .dataio import (  # noqa: E402
     DataFileError,
@@ -253,6 +252,7 @@ def _cmd_check_rmt(args):
     _at_least("--seed", args.seed, 0)
     _at_least("--reps", args.reps, 1)
     with _checking_arguments():
+        require_arrays_fit((args.reps,))
         # the single-window kinds draw only from p, n and form
         spec = GramSpec(args.p, args.n, args.m, form=args.form)
         limit_inv, limit_inv_sq = resolvent_limits(args.p / args.n)

@@ -6,8 +6,6 @@ matrices are symmetric positive-definite ``p x p`` arrays, and weight
 vectors are length ``p`` and sum to one.
 """
 
-from __future__ import annotations
-
 import logging
 import math
 from dataclasses import dataclass, field
@@ -82,6 +80,14 @@ def require_window(p, n):
         raise InsufficientSampleError(
             f"estimation windows need n > p + 1, got p={p}, n={n}"
         )
+
+
+def require_arrays_fit(*shapes):
+    """Refuse float64 arrays of these ``shapes`` that numpy cannot create:
+    more than ``np.iinfo(np.intp).max`` bytes at 8 bytes per entry."""
+    for shape in shapes:
+        if 8 * math.prod(map(int, shape)) > np.iinfo(np.intp).max:
+            raise ValueError(f"a {' x '.join(map(str, shape))} array is too large for numpy")
 
 
 def as_weight_vector(values, n_assets=None):
@@ -227,7 +233,6 @@ def relative_loss(weights, eval_cov, ones_form=None):
     computed once by a caller that scores many portfolios under the same
     covariance; otherwise it is computed here.
     """
-    eval_cov = np.asarray(eval_cov, dtype=np.float64)
     if ones_form is None:
         ones_form = precision_ones_form(eval_cov)
     return ones_form * portfolio_variance(weights, eval_cov) - 1.0
@@ -302,5 +307,4 @@ class PooledStats:
         if self.count < 2:
             raise InsufficientSampleError("pooled covariance needs at least two observations")
         outer_mean = np.outer(self.sum_returns, self.sum_returns) / self.count
-        cov = (self.sum_outer - outer_mean) / (self.count - 1)
-        return 0.5 * (cov + cov.T)
+        return (self.sum_outer - outer_mean) / (self.count - 1)

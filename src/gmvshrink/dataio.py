@@ -28,8 +28,6 @@ files are written as UTF-8; standard output keeps the interpreter's
 encoding, and text that encoding cannot hold is a DataFileError.
 """
 
-from __future__ import annotations
-
 import array
 import contextlib
 import csv

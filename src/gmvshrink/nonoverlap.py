@@ -26,8 +26,6 @@ either mode; the modes differ only in where the recursion starts:
     window size to date, the current one included.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple

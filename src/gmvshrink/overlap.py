@@ -26,8 +26,6 @@ initializations (``fixed`` and ``replay``), and
 ``p + 1`` observations; later increments may be arbitrarily short.
 """
 
-from __future__ import annotations
-
 from . import nonoverlap
 from .core import DegenerateInputError, gmv_weights  # noqa: F401
 from .nonoverlap import feasible_intensity, step  # noqa: F401

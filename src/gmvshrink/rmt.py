@@ -14,14 +14,12 @@ two nested inverse Gram matrices of sizes ``n`` and ``N = n + m``. Scaled by
 ``1 / (1 - p/N)`` of :func:`gmvshrink.overlap.cross_term`.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import mean_and_stderr, sample_moments, solve_spd
+from .core import mean_and_stderr, require_arrays_fit, sample_moments, solve_spd
 
 KINDS = ("inv", "inv_sq", "cross", "cross_centered")
 
@@ -52,6 +50,8 @@ class GramSpec:
             raise ValueError(f"need m >= 0, got m={self.m}")
         if self.form not in ("centered", "uncentered"):
             raise ValueError(f"unknown form {self.form!r}")
+        # the widest draw; the p x p direction draw is narrower, as p < n
+        require_arrays_fit((self.p, self.n + self.m))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,6 @@ Generated blocks are bit-identical across implementations of these loops
 only while that order is kept; floating-point addition is not associative.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import logging
@@ -57,7 +55,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SingularityError, mean_and_stderr, precision_ones_form, relative_loss, require_window
+from .core import (
+    SingularityError,
+    mean_and_stderr,
+    precision_ones_form,
+    relative_loss,
+    require_arrays_fit,
+    require_window,
+)
 from .strategies import STRATEGY_IDS, weight_sequence
 
 logger = logging.getLogger(__name__)
@@ -95,15 +100,13 @@ class PopulationModel:
     @functools.cached_property
     def corr_sqrt(self):
         scale = 1.0 / np.sqrt(np.diag(self.cov))
-        corr = self.cov * np.outer(scale, scale)
-        return _symmetric_sqrt(0.5 * (corr + corr.T))
+        return _symmetric_sqrt(self.cov * np.outer(scale, scale))
 
     @functools.cached_property
     def stationary_cov(self):
         # Sigma_kl / (1 - g_k g_l), positive-definite by the Schur product theorem
         # since 1/(1 - g_k g_l) is a Gram matrix of geometric series
-        cov = self.cov / (1.0 - np.outer(self.ar_coeffs, self.ar_coeffs))
-        return 0.5 * (cov + cov.T)
+        return self.cov / (1.0 - np.outer(self.ar_coeffs, self.ar_coeffs))
 
     @functools.cached_property
     def stationary_sqrt(self):
@@ -316,6 +319,9 @@ class ScenarioConfig:
         # every strategy but holding the target estimates from n-day windows
         if any(s != 6 for s in self.strategies):
             require_window(self.p, self.n)
+        # population, largest block and each strategy's losses
+        burn_in = GARCH_BURN_IN if self.scenario == "ccc_garch" else 0
+        require_arrays_fit((self.p, self.p), (self.p, self.n + burn_in), (self.reps, self.periods))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,6 @@ Strategies 1-4 run the shrinkage pipeline of :mod:`gmvshrink.nonoverlap`
 afresh from the target every window.
 """
 
-from __future__ import annotations
-
 from . import nonoverlap
 from .core import (
     as_weight_vector,

@@ -214,6 +214,30 @@ def test_simulate_window_below_one_is_config_error(capsys, window):
     assert captured.err.startswith("gmvshrink: config error: need n >= 1")
 
 
+@pytest.mark.parametrize(
+    "flags, shape",
+    [
+        (["--T", str(10**20)], f"1 x {10**20}"),
+        (["--n", str(10**20), "--T", "1", "--strategies", "6"], f"5 x {10**20}"),
+        (["--n", str(2**61), "--T", "1", "--strategies", "6"], f"5 x {2**61}"),
+        (["--reps", str(10**20), "--full", "--strategies", "6"], f"{10**20} x 10"),
+        (["--p", str(10**20), "--strategies", "6"], f"{10**20} x {10**20}"),
+    ],
+    ids=["T", "n", "n-bytes", "reps", "p"],
+)
+def test_simulate_counts_numpy_cannot_hold_are_config_errors(capsys, flags, shape):
+    rc = main(
+        [
+            "simulate", "--scenario", "t5", "--p", "5", "--n", "7",
+            "--T", "10", "--reps", "1", "--seed", "1", *flags,
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gmvshrink: config error: a {shape} array is too large for numpy\n"
+
+
 # spelled in parts so that a search for leftovers of the options finds none
 @pytest.mark.parametrize("removed", ["--raw" + "-t5", "--literal" + "-sigma"])
 def test_simulate_refuses_removed_options(removed, capsys):
@@ -996,8 +1020,12 @@ def test_check_rmt_rejects_degenerate_concentration(capsys):
         (["--n", "0"], "need p < n, got p=4, n=0"),
         (["--n", "30", "--reps", "0"], "--reps must be at least 1, got 0"),
         (["--n", "30", "--m", "-2"], "need m >= 0, got m=-2"),
+        # counts whose arrays numpy cannot create
+        (["--n", "20", "--reps", str(10**20)], f"a {10**20} array is too large for numpy"),
+        (["--n", "20", "--m", str(10**20)], f"a 4 x {10**20 + 20} array is too large for numpy"),
+        (["--n", str(2**61)], f"a 4 x {2**61} array is too large for numpy"),
     ],
-    ids=["n-zero", "reps-zero", "m-negative"],
+    ids=["n-zero", "reps-zero", "m-negative", "reps-huge", "m-huge", "n-huge"],
 )
 def test_check_rmt_checks_arguments_before_output(capsys, flags, message):
     rc = main(["check-rmt", "--p", "4", *flags, "--seed", "1"])

@@ -377,9 +377,13 @@ def test_scale_equivariance():
 def test_pooled_stats_match_concatenated_two_pass():
     rng = np.random.default_rng(53)
     blocks = [rng.standard_normal((4, n)) for n in (10, 1, 25, 3)]
+    blocks[2] += 1e3
     pooled = PooledStats(n_assets=4)
     for block in blocks:
         pooled = pooled.updated(block)
+        # exactly symmetric as formed: sum_outer adds up x @ x.T terms
+        cov = pooled.cov()
+        assert np.array_equal(cov, cov.T)
     stacked = np.hstack(blocks)
     mean, cov = sample_moments(stacked)
     assert pooled.count == stacked.shape[1]

@@ -125,6 +125,10 @@ def test_gram_spec_validation():
         GramSpec(p=5, n=10, m=-1)
     with pytest.raises(ValueError):
         GramSpec(p=5, n=10, form="diagonal")
+    # draws numpy cannot create
+    for counts in ({"n": 10**20}, {"n": 2**61}, {"n": 10, "m": 10**20}):
+        with pytest.raises(ValueError, match="too large for numpy"):
+            GramSpec(p=5, **counts)
 
 
 def test_single_window_form_tracks_limit():

@@ -125,10 +125,11 @@ def test_derived_matrices_are_the_build_time_expressions_bit_for_bit(p, seed):
     pop = build_population(p, seed)
     variances = np.diag(pop.cov)
     scale = 1.0 / np.sqrt(variances)
+    # elementwise products of symmetric matrices: exactly symmetric as built
     corr = pop.cov * np.outer(scale, scale)
-    corr = 0.5 * (corr + corr.T)
     stationary_cov = pop.cov / (1.0 - np.outer(pop.ar_coeffs, pop.ar_coeffs))
-    stationary_cov = 0.5 * (stationary_cov + stationary_cov.T)
+    np.testing.assert_array_equal(corr, corr.T)
+    np.testing.assert_array_equal(stationary_cov, stationary_cov.T)
     np.testing.assert_array_equal(
         pop.garch_intercepts, variances * (1.0 - pop.arch_coeffs - pop.persist_coeffs)
     )
@@ -587,6 +588,15 @@ def test_config_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1"):
             _small_config(n=n, strategies=(6,))
+    # counts whose population, block or loss arrays numpy cannot create
+    for counts in ({"p": 10**20}, {"n": 10**20}, {"n": 2**61}, {"periods": 10**20}, {"reps": 10**20}):
+        with pytest.raises(ValueError, match="too large for numpy"):
+            _small_config(**counts, strategies=(6,))
+    # a ccc_garch block carries the burn-in days too
+    n = np.iinfo(np.intp).max // (8 * 8)
+    _small_config(n=n, strategies=(6,))
+    with pytest.raises(ValueError, match=f"a 8 x {n + sim.GARCH_BURN_IN} array"):
+        _small_config(scenario="ccc_garch", n=n, strategies=(6,))
 
 
 def test_scenario_registry():

@@ -4,9 +4,9 @@ file a module opens names its encoding.
 
 No linter runs on this tree, so this test stands in for the unused-import
 check: it parses each module of ``src/gmvshrink`` and fails on any name an
-``import`` binds that no expression of the module reads. ``__future__``
-imports are exempt. ``KEPT`` lists the re-exports that are imported only
-to be read from outside the module; each entry says who reads it.
+``import`` binds that no expression of the module reads. ``KEPT`` lists
+the re-exports that are imported only to be read from outside the module;
+each entry says who reads it.
 
 A module-level function, class or constant whose name starts with one
 underscore is private to the package; one that no module of
@@ -42,8 +42,6 @@ def unused_imports(source):
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported.add(alias.asname or alias.name.split(".")[0])
@@ -60,7 +58,7 @@ def test_finder_sees_unused_and_read_names():
         "import os.path\nimport sys as system\nfrom math import inf, nan\n"
         "print(os.path.sep, nan)\n"
     )
-    assert unused_imports(source) == {"system", "inf"}
+    assert unused_imports(source) == {"annotations", "system", "inf"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
