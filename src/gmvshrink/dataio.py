@@ -310,7 +310,7 @@ def _parse_strict(path, lines, key="date", read_key=_read_date, first_line=1):
     return keys, names, np.frombuffer(values).reshape(len(keys), len(names)).T.copy()
 
 
-def read_external_weights(path, asset_names=None):
+def read_external_weights(path, asset_names):
     """Read a per-period weights CSV into a list of weight vectors.
 
     Accepts the format written by write_weights_csv: optional ``#``
@@ -318,8 +318,8 @@ def read_external_weights(path, asset_names=None):
     per asset, one row per rebalancing period in order. The period column
     must read ``1, 2, ..., T``. The table is checked like a returns file
     (``period`` in place of ``date``), with errors naming the file line
-    and column. Given ``asset_names`` (those of the returns file), the
-    asset columns must carry exactly those names in that order.
+    and column. The asset columns must carry exactly ``asset_names``
+    (those of the returns file) in that order.
     """
     with _open_in(path) as handle:
         skip = 0
@@ -331,17 +331,16 @@ def read_external_weights(path, asset_names=None):
             path, itertools.chain([line] if line else [], handle), "period", _read_period,
             first_line=skip + 1,
         )
-    if asset_names is not None:
-        if len(names) != len(asset_names):
+    if len(names) != len(asset_names):
+        raise DataFileError(
+            f"{path}: expected {len(asset_names)} asset columns, got {len(names)}"
+        )
+    for column, (got, expected) in enumerate(zip(names, asset_names), start=2):
+        if got != expected:
             raise DataFileError(
-                f"{path}: expected {len(asset_names)} asset columns, got {len(names)}"
+                f"{path}: header column {column} is {got!r}, expected "
+                f"{expected!r} as in the returns file"
             )
-        for column, (got, expected) in enumerate(zip(names, asset_names), start=2):
-            if got != expected:
-                raise DataFileError(
-                    f"{path}: header column {column} is {got!r}, expected "
-                    f"{expected!r} as in the returns file"
-                )
     # contiguous vectors: BLAS may sum over a strided one in another order
     return list(np.ascontiguousarray(values.T))
 

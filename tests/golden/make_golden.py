@@ -26,8 +26,6 @@ A change that alters outputs on purpose regenerates the files in the same
 diff and records which files changed, by how much and why.
 """
 
-from __future__ import annotations
-
 import contextlib
 import io
 import math
@@ -126,7 +124,7 @@ def run(command, out_dir):
     if code != command.exit:
         raise RuntimeError(f"{' '.join(argv)} exited {code}, expected {command.exit}")
     if command.stdout:
-        with open(Path(out_dir) / command.stdout, "w", newline="") as handle:
+        with open(Path(out_dir) / command.stdout, "w", encoding="utf-8", newline="") as handle:
             handle.write(captured.getvalue())
 
 
@@ -159,13 +157,13 @@ def write_inputs():
     weights = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.7, 0.95, size=(periods, 1))
     if not (HERE / RETURNS).exists():
         day = np.datetime64("2001-01-02")
-        with open(HERE / RETURNS, "w", newline="") as handle:
+        with open(HERE / RETURNS, "w", encoding="utf-8", newline="") as handle:
             handle.write("date," + ",".join(ASSETS) + "\n")
             for row in returns:
                 handle.write(f"{day},{','.join(f'{x:.6f}' for x in row)}\n")
                 day = np.busday_offset(day, 1, roll="forward")
     if not (HERE / EXTERNAL).exists():
-        with open(HERE / EXTERNAL, "w", newline="") as handle:
+        with open(HERE / EXTERNAL, "w", encoding="utf-8", newline="") as handle:
             handle.write("# weights leaving part of the portfolio in cash\n")
             handle.write("period," + ",".join(ASSETS) + "\n")
             for period, row in enumerate(weights, start=1):

@@ -387,14 +387,14 @@ def test_weights_roundtrip_quoted_names(tmp_path, names):
 def test_external_weights_reader_skips_comments(tmp_path):
     text = "# anything\nperiod,x,y\n1,0.5,0.5\n"
     path = _write(tmp_path, text, name="w.csv")
-    loaded = read_external_weights(str(path))
+    loaded = read_external_weights(str(path), ["x", "y"])
     np.testing.assert_allclose(loaded[0], [0.5, 0.5])
 
 
 def test_external_weights_reader_skips_comments_only_before_header(tmp_path):
     path = _write(tmp_path, "# a: 1\nperiod,x,y\n# b: 2\n1,0.5,0.5\n", name="w.csv")
     with pytest.raises(DataFileError, match="line 3: expected 3 cells, got 1"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x", "y"])
 
 
 @pytest.mark.parametrize(
@@ -405,7 +405,7 @@ def test_external_weights_reader_skips_comments_only_before_header(tmp_path):
 def test_external_weights_reader_locates_bad_cells(tmp_path, cell, message):
     path = _write(tmp_path, f"# a: 1\nperiod,x,y\n1,0.5,0.5\n2,0.5,{cell}\n", name="w.csv")
     with pytest.raises(DataFileError, match=f"line 4, column 'y': {message}"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x", "y"])
 
 
 def test_external_weights_reader_checks_asset_names(tmp_path):
@@ -422,20 +422,20 @@ def test_external_weights_reader_checks_asset_names(tmp_path):
 def test_external_weights_reader_needs_period_header(tmp_path):
     path = _write(tmp_path, "x,y\n0.5,0.5\n", name="w.csv")
     with pytest.raises(DataFileError, match="'period'"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["y"])
 
 
 def test_external_weights_reader_requires_periods_in_order(tmp_path):
     path = _write(tmp_path, "period,x,y\n2,0.5,0.5\n1,0.4,0.6\n", name="w.csv")
     with pytest.raises(DataFileError, match="line 2, column 'period': expected period 1, got '2'"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x", "y"])
     path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
     with pytest.raises(DataFileError, match="line 3, column 'period': expected period 2, got '3'"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x", "y"])
     # rows are numbered by file line, metadata comment lines included
     path = _write(tmp_path, "# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
     with pytest.raises(DataFileError, match="line 5, column 'period': expected period 2, got '3'"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x", "y"])
 
 
 def test_external_weights_reader_counts_comment_and_multi_line_header_lines(tmp_path):
@@ -443,7 +443,7 @@ def test_external_weights_reader_counts_comment_and_multi_line_header_lines(tmp_
     text = '# a: 1\n# b: 2\nperiod,"x\ny",z\n1,0.5,0.5\n2,0.5,oops\n'
     path = _write(tmp_path, text, name="w.csv")
     with pytest.raises(DataFileError, match="line 6, column 'z': not a number: 'oops'"):
-        read_external_weights(str(path))
+        read_external_weights(str(path), ["x\ny", "z"])
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ def test_command_reproduces_its_golden_outputs(command, tmp_path):
     make_golden.run(command, tmp_path)
     atol = 1e-6 if command.argv[0] == "check-rmt" else 0.0
     for name in command.outputs:
-        got = (tmp_path / name).read_text()
-        problem = _mismatch(got, (GOLDEN / name).read_text(), atol)
+        got = (tmp_path / name).read_text(encoding="utf-8")
+        problem = _mismatch(got, (GOLDEN / name).read_text(encoding="utf-8"), atol)
         assert problem is None, f"{name}, {problem}"
 
 

@@ -4,6 +4,8 @@ Covers:
 - the scalar intensity/loss formulas and their hand values
 - the harmonic-decay identity and monotone risk improvement
 - the two initialization modes (fixed, replay) and their callers
+- the refusals both window kinds share (an unknown mode, a window too
+  short or of the wrong width), once for each kind's ``init``
 - bit-for-bit replay reconstruction of the holding weights
 - tracking of the population-optimal intensity on simulated data
 - invariants of the shared pipeline over random window sizes, modes and
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmvshrink import nonoverlap
+from gmvshrink import nonoverlap, overlap
 from gmvshrink.core import (
     DegenerateInputError,
     DimensionError,
@@ -211,9 +213,16 @@ def test_init_with_block_equals_init_then_step():
     assert one_shot.loss == two_step.loss
 
 
-def test_init_rejects_unknown_mode():
+#: the two window kinds' entry points, which share ``step``
+_INITS = pytest.mark.parametrize(
+    "window_init", [nonoverlap.init, overlap.init], ids=["fresh", "extending"]
+)
+
+
+@_INITS
+def test_init_rejects_unknown_mode(window_init):
     with pytest.raises(ValueError):
-        init(np.full(4, 0.25), mode="bogus")
+        window_init(np.full(4, 0.25), mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +230,19 @@ def test_init_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 
 
-def test_step_window_size_precondition():
+@_INITS
+def test_step_window_size_precondition(window_init):
     b = np.full(10, 0.1)
     rng = np.random.default_rng(97)
     with pytest.raises(InsufficientSampleError):
-        step(init(b), rng.standard_normal((10, 11)))
+        step(window_init(b), rng.standard_normal((10, 11)))
 
 
-def test_step_asset_mismatch():
+@_INITS
+def test_step_asset_mismatch(window_init):
     rng = np.random.default_rng(101)
     with pytest.raises(DimensionError):
-        step(init(np.full(4, 0.25)), rng.standard_normal((5, 30)))
+        step(window_init(np.full(4, 0.25)), rng.standard_normal((5, 30)))
 
 
 def test_weights_stay_fully_invested():

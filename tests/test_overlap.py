@@ -22,7 +22,6 @@ import pytest
 from gmvshrink import nonoverlap
 from gmvshrink.core import (
     DegenerateInputError,
-    DimensionError,
     InsufficientSampleError,
     PooledStats,
     gmv_weights,
@@ -274,12 +273,6 @@ def test_strategy_7_is_memoryless_bitwise():
         assert np.array_equal(weights, next(weight_sequence([block], 1, target)))
 
 
-def test_first_window_must_exceed_asset_count():
-    rng = np.random.default_rng(151)
-    with pytest.raises(InsufficientSampleError):
-        init(np.full(10, 0.1), first_block=rng.standard_normal((10, 11)))
-
-
 def test_later_increments_may_be_single_columns():
     rng = np.random.default_rng(157)
     state = init(np.full(5, 0.2), first_block=rng.standard_normal((5, 20)))
@@ -327,17 +320,6 @@ def test_replay_reconstruction_is_bitwise():
         cov = sample_moments(block)[1] if i == 0 else pooled.cov()
         w = psi * gmv_weights(cov) + (1.0 - psi) * w
     np.testing.assert_array_equal(w, state.weights)
-
-
-def test_step_asset_mismatch():
-    rng = np.random.default_rng(179)
-    with pytest.raises(DimensionError):
-        step(init(np.full(4, 0.25)), rng.standard_normal((5, 30)))
-
-
-def test_init_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        init(np.full(4, 0.25), mode="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ private module-level definition is read by some module, and every text
 file a module opens names its encoding.
 
 No linter runs on this tree, so this test stands in for the unused-import
-check: it parses each module of ``src/gmvshrink`` and fails on any name an
-``import`` binds that no expression of the module reads. ``KEPT`` lists
+check: it parses each module of ``src/gmvshrink``, and the script
+``tests/golden/make_golden.py`` that writes the golden files, and fails on
+any name an ``import`` binds that no expression of the module reads. ``KEPT`` lists
 the re-exports that are imported only to be read from outside the module;
 each entry says who reads it.
 
@@ -15,8 +16,9 @@ code and fails, even when a test reads it. A read of the same name in any
 module counts, so the check never flags a helper that is read, at the cost
 of missing a dead one that shares its name with a live one.
 
-The same parse fails on any ``open()`` call in text mode without an
-``encoding`` argument, which would read and write in the locale's encoding.
+The same parse of those files fails on any ``open()`` call in text mode
+without an ``encoding`` argument, which would read and write in the
+locale's encoding.
 A mode holding ``b`` is exempt.
 """
 
@@ -26,6 +28,12 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmvshrink"
+#: the package modules and the script that writes the golden files
+MODULES = pytest.mark.parametrize(
+    "path",
+    [*sorted(PACKAGE.glob("*.py")), Path(__file__).resolve().parent / "golden" / "make_golden.py"],
+    ids=lambda p: p.stem,
+)
 
 KEPT = {
     # aliases perfbench/tests/tracer_checks.py asserts
@@ -61,9 +69,12 @@ def test_finder_sees_unused_and_read_names():
     assert unused_imports(source) == {"annotations", "system", "inf"}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@MODULES
 def test_module_reads_every_name_it_imports(path):
-    unused = {name for name in unused_imports(path.read_text()) if (path.stem, name) not in KEPT}
+    unused = {
+        name for name in unused_imports(path.read_text(encoding="utf-8"))
+        if (path.stem, name) not in KEPT
+    }
     assert not unused, f"{path.name} imports names it never reads: {sorted(unused)}"
 
 
@@ -142,7 +153,7 @@ def test_encoding_finder_exempts_binary_modes_only():
     assert opens_without_encoding(source) == [1, 6]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@MODULES
 def test_module_names_the_encoding_of_every_text_file_it_opens(path):
     lines = opens_without_encoding(path.read_text(encoding="utf-8"))
     assert not lines, f"{path.name} opens text files without an encoding on lines {lines}"
