@@ -7,11 +7,16 @@ are visible in one block regardless of verbosity settings.
 The repository's ``src`` is also put first on ``PYTHONPATH``, so tests that
 start ``python -m gmvshrink.cli`` subprocesses import this checkout even
 when the package is not installed.
+
+``table_tests`` turns a table of refusals into tests named by the ids of
+its rows; the command-line and file-reader refusals use it.
 """
 
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
@@ -26,3 +31,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 for line in lines:
                     terminalreporter.write_line(line)
             return
+
+
+def table_tests(check, table):
+    """One test per name among ``table``'s ids, running ``check`` on the rows
+    of each id; ``name[case]`` ids parametrize ``name`` over its cases, so
+    each row keeps the test id its case has always had. ``check`` takes the
+    ``capsys`` and ``tmp_path`` fixtures, then a row's fields; a module binds
+    the tests with ``globals().update(table_tests(check, table))``."""
+    cases = {}
+    for key, *row in table:
+        name, _, case = key.partition("[")
+        cases.setdefault(name, {}).setdefault(case[:-1], []).append(row)
+
+    def test_of(rows_by_case):
+        if list(rows_by_case) == [""]:
+            def test(capsys, tmp_path):
+                for row in rows_by_case[""]:
+                    check(capsys, tmp_path, *row)
+        else:
+            @pytest.mark.parametrize("rows", list(rows_by_case.values()), ids=list(rows_by_case))
+            def test(capsys, tmp_path, rows):
+                for row in rows:
+                    check(capsys, tmp_path, *row)
+        return test
+
+    return {name: test_of(rows_by_case) for name, rows_by_case in cases.items()}

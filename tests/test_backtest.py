@@ -5,6 +5,8 @@ Covers:
 - the five weight statistics, turnover and wealth compounding
 - holding semantics: weights lag one window, tails are held, nothing
   is evaluated before the first rebalance
+- the day returns with and without drift against one per-day reference,
+  which holds the recorded weights or lets them drift with cash
 - drift mode, external weights, ruin handling and input validation
 - fitting then evaluating reproducing ``run_backtest`` field for field,
   for every strategy, with and without drift
@@ -216,6 +218,32 @@ def test_wealth_overflow_is_rejected_as_prices(recwarn):
 # ---------------------------------------------------------------------------
 
 
+def _per_day_returns(returns, weights_history, schedule, drift):
+    """The holding-day accounting as one Python iteration per held day. The
+    weights recorded at rebalance ``i`` are held over window ``i + 1``, the
+    last also over the days past the schedule; with ``drift`` the holdings
+    are renormalized by each day's portfolio return, the remainder held as
+    cash, and the series ends on a day that loses everything."""
+    spans = schedule.spans()
+    holding_spans = [(weights_history[i],) + spans[i + 1] for i in range(len(spans) - 1)]
+    if returns.shape[1] > schedule.total_observations:
+        holding_spans.append(
+            (weights_history[-1], schedule.total_observations, returns.shape[1])
+        )
+    day_returns = []
+    for weights, start, end in holding_spans:
+        held = np.asarray(weights, dtype=float).copy()
+        for t in range(start, end):
+            y = returns[:, t]
+            r = float(held @ y)
+            day_returns.append(r)
+            if drift:
+                if 1.0 + r <= 0.0:
+                    return np.asarray(day_returns)  # ruin: holdings are gone
+                held = held * (1.0 + y) / (1.0 + r)
+    return np.asarray(day_returns)
+
+
 def test_hold_target_strategy_report_is_exact():
     p = 150
     returns = _daily_returns(p, 40, seed=1)
@@ -250,13 +278,8 @@ def test_day_returns_skip_first_window_and_hold_tail():
     # days evaluated: windows 2..3 plus the tail = 35 - 10
     assert len(report.wealth_path) == 1 + 35 - 10
 
-    day_returns = []
-    for i, (start, end) in enumerate(schedule.spans()[1:]):
-        for t in range(start, end):
-            day_returns.append(history[i] @ returns[:, t])
-    for t in range(30, 35):
-        day_returns.append(history[-1] @ returns[:, t])
-    day_returns = np.asarray(day_returns)
+    day_returns = _per_day_returns(returns, history, schedule, drift=False)
+    assert day_returns.shape == (35 - 10,)
     assert report.mean_return == pytest.approx(day_returns.mean(), rel=1e-12)
     assert report.volatility == pytest.approx(day_returns.std(ddof=1), rel=1e-12)
     assert report.sharpe == pytest.approx(
@@ -272,26 +295,12 @@ def test_day_returns_without_drift_match_per_day_products():
     rng = np.random.default_rng(12)
     history = [w / w.sum() for w in rng.uniform(-0.5, 1.5, (4, p))]
     day_returns = _holding_day_returns(returns, history, schedule, drift=False)
-
-    reference = []
-    for i, (start, end) in enumerate(schedule.spans()[1:]):
-        reference += [float(history[i] @ returns[:, t]) for t in range(start, end)]
-    reference += [float(history[-1] @ returns[:, t]) for t in range(47, 53)]
-    assert day_returns.shape == (53 - 12,)
+    reference = _per_day_returns(returns, history, schedule, drift=False)
+    assert day_returns.shape == reference.shape == (53 - 12,)
     np.testing.assert_allclose(day_returns, reference, rtol=1e-13, atol=0.0)
     # a single window with no tail holds nothing
     one = RebalanceSchedule((53,))
     assert _holding_day_returns(returns, history[:1], one, drift=False).shape == (0,)
-
-
-def test_first_period_weights_agree_between_strategies_one_and_two():
-    p = 6
-    returns = _daily_returns(p, 40, seed=3)
-    schedule = RebalanceSchedule.uniform(20, 2)
-    target = np.full(p, 1 / 6)
-    history1, _ = run_backtest(returns, 1, schedule, target)
-    history2, _ = run_backtest(returns, 2, schedule, target)
-    np.testing.assert_array_equal(history1[0], history2[0])
 
 
 def test_drift_mode_lets_holdings_ride():
@@ -329,16 +338,6 @@ def test_drift_moves_no_fitted_weight(strategy, schedule):
     assert [w.tobytes() for w in drifted] == [w.tobytes() for w in rebalanced]
 
 
-def _drifting_day_returns(weights, block):
-    """Day returns of dollar holdings bought at ``weights`` and left alone."""
-    values = np.asarray(weights, dtype=float).copy()
-    out = []
-    for y in block.T:
-        out.append(float(values @ y) / values.sum())
-        values = values * (1.0 + y)
-    return out
-
-
 def test_drift_mode_restarts_from_recorded_weights_at_each_rebalance():
     p = 4
     schedule = RebalanceSchedule((5, 6, 4, 7))
@@ -346,12 +345,10 @@ def test_drift_mode_restarts_from_recorded_weights_at_each_rebalance():
     history = [w / w.sum() for w in np.random.default_rng(22).uniform(0.1, 1.0, (4, p))]
     day_returns = _holding_day_returns(returns, history, schedule, drift=True)
     first = schedule.window_lengths[0]  # days before the first rebalance
-
-    reference = []
-    for weights, (start, end) in zip(history, schedule.spans()[1:]):
-        reference += _drifting_day_returns(weights, returns[:, start:end])
+    for weights, (start, _) in zip(history, schedule.spans()[1:]):
         # the first day of every holding span uses the recorded weights as is
         assert day_returns[start - first] == pytest.approx(weights @ returns[:, start], rel=1e-13)
+    reference = _per_day_returns(returns, history, schedule, drift=True)
     np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=0.0)
     assert day_returns.shape == (22 - first,)
 
@@ -370,7 +367,7 @@ def test_drift_mode_lets_last_weights_ride_over_leftover_days():
         day_returns, [0.0, 0.0, 0.02, 0.022 / 1.02, 0.0039 / 1.042], rtol=1e-12
     )
     np.testing.assert_allclose(
-        day_returns[2:], _drifting_day_returns(history[-1], returns[:, 4:]), rtol=1e-12
+        day_returns, _per_day_returns(returns, history, schedule, drift=True), rtol=1e-12
     )
 
 
@@ -396,28 +393,6 @@ def test_drift_mode_ruin_mid_span_ends_the_series():
     assert report.volatility == pytest.approx(np.std(kept, ddof=1), rel=1e-13)
 
 
-def _per_day_drift_returns(returns, weights_history, schedule):
-    """The drift accounting as one Python iteration per held day: the
-    holdings are renormalized by each day's portfolio return."""
-    spans = schedule.spans()
-    holding_spans = [(weights_history[i],) + spans[i + 1] for i in range(len(spans) - 1)]
-    if returns.shape[1] > schedule.total_observations:
-        holding_spans.append(
-            (weights_history[-1], schedule.total_observations, returns.shape[1])
-        )
-    day_returns = []
-    for weights, start, end in holding_spans:
-        held = np.asarray(weights, dtype=float).copy()
-        for t in range(start, end):
-            y = returns[:, t]
-            r = float(held @ y)
-            day_returns.append(r)
-            if 1.0 + r <= 0.0:
-                return np.asarray(day_returns)  # ruin: holdings are gone
-            held = held * (1.0 + y) / (1.0 + r)
-    return np.asarray(day_returns)
-
-
 def test_drift_mode_matches_per_day_loop_over_a_long_series():
     """40 holding spans (39 windows and a tail) of a 10,000-day series."""
     p = 25
@@ -427,7 +402,7 @@ def test_drift_mode_matches_per_day_loop_over_a_long_series():
     history = [w / w.sum() for w in rng.uniform(-0.5, 1.5, (40, p))]
     assert min(w.min() for w in history) < 0.0
     day_returns = _holding_day_returns(returns, history, schedule, drift=True)
-    reference = _per_day_drift_returns(returns, history, schedule)
+    reference = _per_day_returns(returns, history, schedule, drift=True)
     assert day_returns.shape == reference.shape == (10_000 - 245,)
     np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
 
@@ -441,9 +416,8 @@ def test_drift_mode_holds_the_uninvested_remainder_as_cash():
     history.append(rng.uniform(-0.4, 0.8, p))
     assert all(abs(w.sum() - 1.0) > 0.1 for w in history)
     day_returns = _holding_day_returns(returns, history, schedule, drift=True)
-    np.testing.assert_allclose(
-        day_returns, _per_day_drift_returns(returns, history, schedule), rtol=1e-12, atol=1e-15
-    )
+    reference = _per_day_returns(returns, history, schedule, drift=True)
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
 
 
 def test_drift_mode_ruin_in_a_non_final_span_ends_on_the_ruin_day():
@@ -456,7 +430,7 @@ def test_drift_mode_ruin_in_a_non_final_span_ends_on_the_ruin_day():
         warnings.simplefilter("error")  # later days divide by zero wealth
         day_returns = _holding_day_returns(returns, history, schedule, drift=True)
         report = evaluate_weights(returns, history, schedule, history[0], drift=True)
-    reference = _per_day_drift_returns(returns, history, schedule)
+    reference = _per_day_returns(returns, history, schedule, drift=True)
     assert day_returns.shape == (60 - 10,)  # every span is still computed
     assert reference.shape == (31 - 10 + 1,)
     assert day_returns[reference.size - 1] == -1.0
@@ -476,9 +450,8 @@ def test_drift_mode_zero_weight_ignores_an_asset_whose_gross_return_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         day_returns = _holding_day_returns(returns, history, schedule, drift=True)
-    np.testing.assert_allclose(
-        day_returns, _per_day_drift_returns(returns, history, schedule), rtol=1e-12, atol=1e-15
-    )
+    reference = _per_day_returns(returns, history, schedule, drift=True)
+    np.testing.assert_allclose(day_returns, reference, rtol=1e-12, atol=1e-15)
 
 
 def test_ruin_truncates_moments():

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import table_tests
 
 from gmvshrink import backtest, cli, sim
 from gmvshrink.cli import _build_parser, main
@@ -55,7 +56,7 @@ def _write_returns(path, p, days, seed, scale=0.01):
 def _write_table(path, data):
     p, days = data.shape
     start = date(2020, 1, 1)
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("date," + ",".join(f"a{i}" for i in range(p)) + "\n")
         for t in range(days):
             day = (start + timedelta(days=t)).isoformat()
@@ -95,7 +96,7 @@ def _refused_command_line(capsys, tmp_path, argv, given, code, line):
     refused with exit ``code`` and the stderr line ``line``, and leave the
     folder as it was."""
     if isinstance(given, str):
-        (tmp_path / "r.csv").write_text(given)
+        (tmp_path / "r.csv").write_text(given, encoding="utf-8")
     elif given is not None:
         _write_returns(tmp_path / "r.csv", *given)
     before = sorted(tmp_path.iterdir())
@@ -113,30 +114,6 @@ def _parse_error(capsys, tmp_path, argv, message):
     assert (exc.value.code, captured.out) == (2, "")
     assert message in captured.err.splitlines()[-1]
     assert not any(tmp_path.iterdir())
-
-
-def _table_tests(check, table):
-    """One test per name among ``table``'s ids, running ``check`` on the rows
-    of each id; ``name[case]`` ids parametrize ``name`` over its cases, so
-    each row keeps the test id its case has always had."""
-    cases = {}
-    for key, *row in table:
-        name, _, case = key.partition("[")
-        cases.setdefault(name, {}).setdefault(case[:-1], []).append(row)
-
-    def test_of(rows_by_case):
-        if list(rows_by_case) == [""]:
-            def test(capsys, tmp_path):
-                for row in rows_by_case[""]:
-                    check(capsys, tmp_path, *row)
-        else:
-            @pytest.mark.parametrize("rows", list(rows_by_case.values()), ids=list(rows_by_case))
-            def test(capsys, tmp_path, rows):
-                for row in rows:
-                    check(capsys, tmp_path, *row)
-        return test
-
-    return {name: test_of(rows_by_case) for name, rows_by_case in cases.items()}
 
 
 #: ``simulate`` on 8 t5 assets and windows of 20 days, before its other options
@@ -257,7 +234,7 @@ _REFUSED = [
        3, f"gmvshrink: data error: series has 40 observations, schedule needs {10 * periods}")
       for command in ("weights", "backtest") for periods in (5, _HUGE)),
 ]
-globals().update(_table_tests(_refused_command_line, _REFUSED))
+globals().update(table_tests(_refused_command_line, _REFUSED))
 
 #: Command lines argparse refuses with exit 2: (test id, argv, the text of
 #: its last stderr line that names the fault)
@@ -282,7 +259,7 @@ _PARSE_ERRORS = [
      "weights --input {tmp}/r.csv --n 10 --T 2 --seed 1 --strategy external "
      "--weights-file {tmp}/w.csv --out {tmp}/out.csv", "invalid choice: 'external'"),
 ]
-globals().update(_table_tests(_parse_error, _PARSE_ERRORS))
+globals().update(table_tests(_parse_error, _PARSE_ERRORS))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +325,7 @@ def test_simulate_writes_to_file(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
-    assert out.read_text() == capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +373,7 @@ def test_backtest_wealth_out(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    lines = _data_lines(wealth.read_text())
+    lines = _data_lines(wealth.read_text(encoding="utf-8"))
     assert lines[0] == "day,wealth"
     assert lines[1] == "0,1"
     # wealth is evaluated from the second window on: 30 - 10 days
@@ -413,7 +390,7 @@ def test_quoted_crlf_file_gives_identical_output(tmp_path, capsys, command):
     outputs = []
     for rewrite in (False, True):
         if rewrite:
-            lines = csv_path.read_text().splitlines()
+            lines = csv_path.read_text(encoding="utf-8").splitlines()
             quoted = "".join(",".join(f'"{c}"' for c in ln.split(",")) + "\r\n" for ln in lines)
             csv_path.write_bytes(quoted.encode())
             with open(csv_path, "rb") as handle:
@@ -510,11 +487,11 @@ def test_backtest_duplicated_asset_is_numerical_error(tmp_path, capsys, strategy
 def _near_duplicate_returns(path, noise):
     """The golden returns plus a seventh column: the first plus ``noise``
     times standard normal draws, written to 15 significant digits."""
-    lines = GOLDEN_RETURNS.read_text().splitlines()
+    lines = GOLDEN_RETURNS.read_text(encoding="utf-8").splitlines()
     first = np.array([float(line.split(",")[1]) for line in lines[1:]])
     copy = first + noise * np.random.default_rng(0).standard_normal(len(first))
     rows = [f"{line},{x:.15g}" for line, x in zip(lines[1:], copy)]
-    path.write_text("\n".join([lines[0] + ",COPY", *rows]) + "\n")
+    path.write_text("\n".join([lines[0] + ",COPY", *rows]) + "\n", encoding="utf-8")
     return path
 
 
@@ -581,7 +558,7 @@ def test_output_naming_another_file_of_the_run_is_config_error(
     other output is refused before anything is read or written."""
     monkeypatch.chdir(tmp_path)
     _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
-    (tmp_path / "w.csv").write_text("period,a0,a1,a2\n1,0.2,0.3,0.5\n")
+    (tmp_path / "w.csv").write_text("period,a0,a1,a2\n1,0.2,0.3,0.5\n", encoding="utf-8")
     (tmp_path / "link.csv").symlink_to("r.csv")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     strategy = [] if "--strategy" in flags else ["--strategy", "1"]
@@ -636,10 +613,11 @@ def test_backtest_takes_the_options_weights_refuses(tmp_path, monkeypatch, capsy
     keeps both."""
     monkeypatch.chdir(tmp_path)
     _write_returns(tmp_path / "r.csv", p=3, days=40, seed=19)
-    (tmp_path / "w.csv").write_text("period,a0,a1,a2\n1,0.2,0.3,0.5\n2,0.2,0.3,0.5\n")
+    weights = "period,a0,a1,a2\n1,0.2,0.3,0.5\n2,0.2,0.3,0.5\n"
+    (tmp_path / "w.csv").write_text(weights, encoding="utf-8")
     argv = ["backtest", "--input", "r.csv", "--n", "10", "--T", "2", "--seed", "1", *flags]
     assert main([*argv, "--out", "out.txt"]) == 0
-    assert "report-version: 1" in (tmp_path / "out.txt").read_text()
+    assert "report-version: 1" in (tmp_path / "out.txt").read_text(encoding="utf-8")
 
 
 def test_standard_output_is_exempt_from_the_collision_check(tmp_path, capsys):
@@ -765,19 +743,20 @@ def test_external_weights_must_match_returns_assets(tmp_path, capsys, edit, mess
     weights_path = tmp_path / "w.csv"
     common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
     assert main(["weights", *common, "--strategy", "5", "--out", str(weights_path)]) == 0
-    weights_path.write_text(_edit_asset_columns(weights_path.read_text(), edit))
+    text = _edit_asset_columns(weights_path.read_text(encoding="utf-8"), edit)
+    weights_path.write_text(text, encoding="utf-8")
     argv = ["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)]
     assert _refusal(capsys, argv, 3) == f"{weights_path}: {message}"
 
 
 def test_external_replay_of_quoted_asset_names(tmp_path, capsys):
     csv_path = _write_returns(tmp_path / "r.csv", p=3, days=30, seed=31)
-    text = csv_path.read_text().split("\n", 1)[1]
-    csv_path.write_text('date,"x,y","say ""hi""",c\n' + text)
+    text = csv_path.read_text(encoding="utf-8").split("\n", 1)[1]
+    csv_path.write_text('date,"x,y","say ""hi""",c\n' + text, encoding="utf-8")
     weights_path = tmp_path / "w.csv"
     common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
     assert main(["weights", *common, "--strategy", "5", "--out", str(weights_path)]) == 0
-    assert _data_lines(weights_path.read_text())[0] == 'period,"x,y","say ""hi""",c'
+    assert _data_lines(weights_path.read_text(encoding="utf-8"))[0] == 'period,"x,y","say ""hi""",c'
     assert main(["backtest", *common, "--strategy", "5"]) == 0
     direct = _report_dict(capsys.readouterr().out)
     rc = main(["backtest", *common, "--strategy", "external", "--weights-file", str(weights_path)])
@@ -789,8 +768,8 @@ def test_external_replay_of_quoted_asset_names(tmp_path, capsys):
 
 def test_external_replay_of_header_cell_with_hash_line(tmp_path, capsys):
     csv_path = _write_returns(tmp_path / "r.csv", p=2, days=30, seed=37)
-    text = csv_path.read_text().split("\n", 1)[1]
-    csv_path.write_text('date,"a\n#b",c\n' + text)
+    text = csv_path.read_text(encoding="utf-8").split("\n", 1)[1]
+    csv_path.write_text('date,"a\n#b",c\n' + text, encoding="utf-8")
     weights_path = tmp_path / "w.csv"
     common = ["--input", str(csv_path), "--n", "10", "--seed", "1"]
     assert main(["weights", *common, "--strategy", "6", "--out", str(weights_path)]) == 0
@@ -1030,7 +1009,7 @@ def test_every_output_closes_its_metadata_with_its_hash(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     assert main(["check-rmt", "--p", "10", "--n", "30", "--reps", "2", "--seed", "1"]) in (0, 4)
-    texts = {name: Path(path).read_text() for name, path in paths.items()}
+    texts = {name: Path(path).read_text(encoding="utf-8") for name, path in paths.items()}
     texts["check-rmt"] = capsys.readouterr().out
 
     for name, text in texts.items():
@@ -1038,7 +1017,7 @@ def test_every_output_closes_its_metadata_with_its_hash(tmp_path, capsys):
         assert all(line.startswith("# ") for line in comments), name
         _assert_closed_by_hash(name, [line[2:] for line in comments])
 
-    lines = report.read_text().splitlines()
+    lines = report.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "report-version: 1"
     end = next(i for i, line in enumerate(lines) if line.startswith("config-hash: "))
     _assert_closed_by_hash("report", lines[1 : end + 1])
@@ -1063,7 +1042,7 @@ def test_readme_names_exactly_the_parser_options():
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tokens = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
     assert sorted(options - tokens) == [], "options the README does not name"
     assert sorted(tokens - options - _README_EXTRA_TOKENS) == [], "README tokens that are no option"
@@ -1072,7 +1051,7 @@ def test_readme_names_exactly_the_parser_options():
 def test_readme_examples_parse_as_their_subcommands():
     """Every README line that runs ``gmvshrink <subcommand>`` must parse, so
     an option shown with a subcommand that lacks it is caught."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     examples = re.findall(r"^gmvshrink \S.*$", readme, flags=re.MULTILINE)
     assert len(examples) >= 4
     for example in examples:

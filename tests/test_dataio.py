@@ -1,21 +1,26 @@
 """Tests for CSV parsing, report serialization and the config hash.
 
 Covers:
-- strict returns-CSV validation with located error messages
+- each refusal of the returns and external-weights readers, by its whole
+  located message: one row of ``_REFUSED_FILES`` under the test id the
+  case has always had
 - the bulk returns parser agreeing with the strict row parser, also on
   chunk edges, with CRLF line ends and on a file whose row count changed
   after it was counted, and the working set of both
-- the external-weights reader and its round trip with the writer
+- the external-weights reader skipping comments, and its round trip with
+  the writer
 - metadata hashing determinism
 """
 
 import tracemalloc
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import table_tests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +44,7 @@ GOOD_CSV = """date,aaa,bbb
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -55,60 +60,6 @@ def test_read_returns_happy_path(tmp_path):
     assert dates[-1] == date(2021, 3, 4)  # gaps in the calendar are fine
     assert values.shape == (2, 3)
     np.testing.assert_allclose(values[:, 0], [0.01, -0.02])
-
-
-def test_read_returns_rejects_bad_header(tmp_path):
-    path = _write(tmp_path, "day,aaa\n2021-03-01,0.01\n")
-    with pytest.raises(DataFileError, match="'date'"):
-        read_returns_csv(path)
-
-
-def test_read_returns_rejects_duplicate_asset(tmp_path):
-    path = _write(tmp_path, "date,aaa,aaa\n2021-03-01,0.01,0.02\n")
-    with pytest.raises(DataFileError, match="duplicate"):
-        read_returns_csv(path)
-
-
-def test_read_returns_rejects_unsorted_dates(tmp_path):
-    text = "date,aaa\n2021-03-02,0.01\n2021-03-01,0.02\n"
-    with pytest.raises(DataFileError, match="ascending"):
-        read_returns_csv(_write(tmp_path, text))
-
-
-def test_read_returns_rejects_malformed_date(tmp_path):
-    text = "date,aaa\n03/01/2021,0.01\n"
-    with pytest.raises(DataFileError, match="ISO-8601"):
-        read_returns_csv(_write(tmp_path, text))
-
-
-def test_read_returns_rejects_ragged_row(tmp_path):
-    text = "date,aaa,bbb\n2021-03-01,0.01\n"
-    with pytest.raises(DataFileError, match="line 2"):
-        read_returns_csv(_write(tmp_path, text))
-
-
-def test_read_returns_locates_bad_cell(tmp_path):
-    text = "date,aaa,bbb\n2021-03-01,0.01,0.02\n2021-03-02,oops,0.02\n"
-    with pytest.raises(DataFileError, match="line 3, column 'aaa'"):
-        read_returns_csv(_write(tmp_path, text))
-
-
-def test_read_returns_rejects_non_finite_cell(tmp_path):
-    text = "date,aaa\n2021-03-01,inf\n"
-    with pytest.raises(DataFileError, match="non-finite"):
-        read_returns_csv(_write(tmp_path, text))
-
-
-def test_read_returns_rejects_empty_table(tmp_path):
-    with pytest.raises(DataFileError, match="no data rows"):
-        read_returns_csv(_write(tmp_path, "date,aaa\n"))
-
-
-def test_read_returns_counts_file_lines_of_a_quoted_multi_line_cell(tmp_path):
-    """The header spans lines 1-2, so the repeated date is on line 4."""
-    text = 'date,"a\nb",c\n2021-01-01,0.1,0.2\n2021-01-01,0.1,0.2\n'
-    with pytest.raises(DataFileError, match="line 4, column 'date': dates must be strictly"):
-        read_returns_csv(_write(tmp_path, text))
 
 
 #: replacements for one value cell; the strict parser accepts some of them
@@ -238,7 +189,7 @@ def test_lone_carriage_return_goes_to_the_strict_parser(tmp_path, text):
     with open(path, "rb") as handle:
         assert dataio._parse_bulk(str(path), handle) is None
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             expected = _parse_strict(path, handle)
     except DataFileError as exc:
         with pytest.raises(DataFileError) as info:
@@ -391,59 +342,84 @@ def test_external_weights_reader_skips_comments(tmp_path):
     np.testing.assert_allclose(loaded[0], [0.5, 0.5])
 
 
-def test_external_weights_reader_skips_comments_only_before_header(tmp_path):
-    path = _write(tmp_path, "# a: 1\nperiod,x,y\n# b: 2\n1,0.5,0.5\n", name="w.csv")
-    with pytest.raises(DataFileError, match="line 3: expected 3 cells, got 1"):
-        read_external_weights(str(path), ["x", "y"])
+# ---------------------------------------------------------------------------
+# refusals of both readers
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "cell, message",
-    [("nan", "non-finite value 'nan'"), ("", "missing cell"), ("x", "not a number: 'x'")],
-    ids=["nan", "empty", "text"],
-)
-def test_external_weights_reader_locates_bad_cells(tmp_path, cell, message):
-    path = _write(tmp_path, f"# a: 1\nperiod,x,y\n1,0.5,0.5\n2,0.5,{cell}\n", name="w.csv")
-    with pytest.raises(DataFileError, match=f"line 4, column 'y': {message}"):
-        read_external_weights(str(path), ["x", "y"])
+def _refused_file(capsys, tmp_path, reader, text, message):
+    """``reader`` refuses a file holding ``text`` with exactly ``message``."""
+    path = _write(tmp_path, text)
+    with pytest.raises(DataFileError) as info:
+        reader(str(path))
+    assert str(info.value) == message.format(path=path)
 
 
-def test_external_weights_reader_checks_asset_names(tmp_path):
-    path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n", name="w.csv")
-    with pytest.raises(DataFileError, match="expected 3 asset columns, got 2"):
-        read_external_weights(str(path), asset_names=["x", "y", "z"])
-    with pytest.raises(DataFileError, match="header column 2 is 'x', expected 'y'"):
-        read_external_weights(str(path), asset_names=["y", "x"])
-    with pytest.raises(DataFileError, match="header column 3 is 'y', expected 'w'"):
-        read_external_weights(str(path), asset_names=["x", "w"])
-    np.testing.assert_allclose(read_external_weights(str(path), ["x", "y"])[0], [0.5, 0.5])
+#: ``read_external_weights`` expecting the asset columns x and y
+_READ_XY = partial(read_external_weights, asset_names=["x", "y"])
 
-
-def test_external_weights_reader_needs_period_header(tmp_path):
-    path = _write(tmp_path, "x,y\n0.5,0.5\n", name="w.csv")
-    with pytest.raises(DataFileError, match="'period'"):
-        read_external_weights(str(path), ["y"])
-
-
-def test_external_weights_reader_requires_periods_in_order(tmp_path):
-    path = _write(tmp_path, "period,x,y\n2,0.5,0.5\n1,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="line 2, column 'period': expected period 1, got '2'"):
-        read_external_weights(str(path), ["x", "y"])
-    path = _write(tmp_path, "period,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="line 3, column 'period': expected period 2, got '3'"):
-        read_external_weights(str(path), ["x", "y"])
+#: Files the readers refuse: (test id, reader, file text, whole message)
+_REFUSED_FILES = [
+    ("test_read_returns_rejects_bad_header", read_returns_csv, "day,aaa\n2021-03-01,0.01\n",
+     "{path}, line 1: first header column must be 'date', got 'day'"),
+    ("test_read_returns_rejects_duplicate_asset", read_returns_csv,
+     "date,aaa,aaa\n2021-03-01,0.01,0.02\n", "{path}, line 1: duplicate asset column 'aaa'"),
+    ("test_read_returns_rejects_unsorted_dates", read_returns_csv,
+     "date,aaa\n2021-03-02,0.01\n2021-03-01,0.02\n",
+     "{path}, line 3, column 'date': dates must be strictly ascending, got 2021-03-01 after "
+     "2021-03-02"),
+    ("test_read_returns_rejects_malformed_date", read_returns_csv, "date,aaa\n03/01/2021,0.01\n",
+     "{path}, line 2, column 'date': not an ISO-8601 date: '03/01/2021'"),
+    ("test_read_returns_rejects_ragged_row", read_returns_csv, "date,aaa,bbb\n2021-03-01,0.01\n",
+     "{path}, line 2: expected 3 cells, got 2"),
+    ("test_read_returns_locates_bad_cell", read_returns_csv,
+     "date,aaa,bbb\n2021-03-01,0.01,0.02\n2021-03-02,oops,0.02\n",
+     "{path}, line 3, column 'aaa': not a number: 'oops'"),
+    ("test_read_returns_rejects_non_finite_cell", read_returns_csv, "date,aaa\n2021-03-01,inf\n",
+     "{path}, line 2, column 'aaa': non-finite value 'inf'"),
+    ("test_read_returns_rejects_empty_table", read_returns_csv, "date,aaa\n",
+     "{path}: no data rows"),
+    # the header spans lines 1-2, so the repeated date is on line 4
+    ("test_read_returns_counts_file_lines_of_a_quoted_multi_line_cell", read_returns_csv,
+     'date,"a\nb",c\n2021-01-01,0.1,0.2\n2021-01-01,0.1,0.2\n',
+     "{path}, line 4, column 'date': dates must be strictly ascending, got 2021-01-01 after "
+     "2021-01-01"),
+    ("test_external_weights_reader_skips_comments_only_before_header", _READ_XY,
+     "# a: 1\nperiod,x,y\n# b: 2\n1,0.5,0.5\n", "{path}, line 3: expected 3 cells, got 1"),
+    *((f"test_external_weights_reader_locates_bad_cells[{case}]", _READ_XY,
+       f"# a: 1\nperiod,x,y\n1,0.5,0.5\n2,0.5,{cell}\n", f"{{path}}, line 4, column 'y': {message}")
+      for case, cell, message in [
+          ("nan", "nan", "non-finite value 'nan'"),
+          ("empty", "", "missing cell"),
+          ("text", "x", "not a number: 'x'"),
+      ]),
+    *(("test_external_weights_reader_checks_asset_names",
+       partial(read_external_weights, asset_names=names), "period,x,y\n1,0.5,0.5\n", message)
+      for names, message in [
+          (["x", "y", "z"], "{path}: expected 3 asset columns, got 2"),
+          (["y", "x"], "{path}: header column 2 is 'x', expected 'y' as in the returns file"),
+          (["x", "w"], "{path}: header column 3 is 'y', expected 'w' as in the returns file"),
+      ]),
+    ("test_external_weights_reader_needs_period_header",
+     partial(read_external_weights, asset_names=["y"]), "x,y\n0.5,0.5\n",
+     "{path}, line 1: first header column must be 'period', got 'x'"),
     # rows are numbered by file line, metadata comment lines included
-    path = _write(tmp_path, "# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n", name="w.csv")
-    with pytest.raises(DataFileError, match="line 5, column 'period': expected period 2, got '3'"):
-        read_external_weights(str(path), ["x", "y"])
-
-
-def test_external_weights_reader_counts_comment_and_multi_line_header_lines(tmp_path):
+    *(("test_external_weights_reader_requires_periods_in_order", _READ_XY, text, message)
+      for text, message in [
+          ("period,x,y\n2,0.5,0.5\n1,0.4,0.6\n",
+           "{path}, line 2, column 'period': expected period 1, got '2'"),
+          ("period,x,y\n1,0.5,0.5\n3,0.4,0.6\n",
+           "{path}, line 3, column 'period': expected period 2, got '3'"),
+          ("# a: 1\n# b: 2\nperiod,x,y\n1,0.5,0.5\n3,0.4,0.6\n",
+           "{path}, line 5, column 'period': expected period 2, got '3'"),
+      ]),
     # comments on lines 1-2, header on lines 3-4, period rows on lines 5-6
-    text = '# a: 1\n# b: 2\nperiod,"x\ny",z\n1,0.5,0.5\n2,0.5,oops\n'
-    path = _write(tmp_path, text, name="w.csv")
-    with pytest.raises(DataFileError, match="line 6, column 'z': not a number: 'oops'"):
-        read_external_weights(str(path), ["x\ny", "z"])
+    ("test_external_weights_reader_counts_comment_and_multi_line_header_lines",
+     partial(read_external_weights, asset_names=["x\ny", "z"]),
+     '# a: 1\n# b: 2\nperiod,"x\ny",z\n1,0.5,0.5\n2,0.5,oops\n',
+     "{path}, line 6, column 'z': not a number: 'oops'"),
+]
+globals().update(table_tests(_refused_file, _REFUSED_FILES))
 
 
 # ---------------------------------------------------------------------------

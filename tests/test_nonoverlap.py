@@ -6,10 +6,10 @@ Covers:
 - the two initialization modes (fixed, replay) and their callers
 - the refusals both window kinds share (an unknown mode, a window too
   short or of the wrong width), once for each kind's ``init``
-- bit-for-bit replay reconstruction of the holding weights
 - tracking of the population-optimal intensity on simulated data
 - invariants of the shared pipeline over random window sizes, modes and
-  window kinds (a property test)
+  window kinds (a property test), the bit-for-bit rebuild of the holding
+  weights from the recorded intensities included
 - the README's library quick start printing the values its comments show
 """
 
@@ -27,6 +27,7 @@ from gmvshrink.core import (
     DegenerateInputError,
     DimensionError,
     InsufficientSampleError,
+    PooledStats,
     estimate_target_loss_from_cov,
     gmv_weights,
     relative_loss,
@@ -245,33 +246,6 @@ def test_step_asset_mismatch(window_init):
         step(window_init(np.full(4, 0.25)), rng.standard_normal((5, 30)))
 
 
-def test_weights_stay_fully_invested():
-    rng = np.random.default_rng(103)
-    b = np.full(8, 0.125)
-    state = init(b, mode="replay")
-    for _ in range(6):
-        state = step(state, rng.standard_normal((8, 25)))
-        assert abs(state.weights.sum() - 1.0) < 1e-10
-        assert 0.0 <= state.intensities[-1] <= 1.0
-
-
-def test_replay_reconstruction_is_bitwise():
-    """Recorded intensities and the blocks' sample portfolios rebuild the
-    weights exactly."""
-    rng = np.random.default_rng(107)
-    b = np.full(12, 1 / 12)
-    blocks = [rng.standard_normal((12, 40)) for _ in range(5)]
-    state = init(b, mode="replay")
-    for block in blocks:
-        state = step(state, block)
-    w = state.target
-    for rec, block in zip(state.history, blocks):
-        sw = gmv_weights(sample_moments(block)[1])
-        w = rec.intensity * sw + (1.0 - rec.intensity) * w
-    np.testing.assert_array_equal(w, state.weights)
-    assert len(state.history) == 5
-
-
 def test_replay_reestimates_from_pooled_sample():
     """Each period's intensity replays the recursion from a target-loss
     estimate on the pooled covariance."""
@@ -327,11 +301,12 @@ def test_module_exports_modes():
 def test_pipeline_invariants(p, extra, mode, extending, seed):
     """Full investment, intensities in [0, 1], the target's share, window
     sizes, finite nonnegative losses, ``loss`` and ``target_share`` read
-    from the last record and, outside replay, a history (per-record shares
+    from the last record, outside replay a history (per-record shares
     included) equal to the recursion rerun from an independently computed
-    start, for both window kinds and every mode. Fresh windows have
-    ``p + 2 + k`` observations; an extending window starts at ``p + 2 + k``
-    and grows by ``k + 1`` per period."""
+    start, and weights rebuilt bit for bit from the recorded intensities
+    and each period's window, for both window kinds and every mode. Fresh
+    windows have ``p + 2 + k`` observations; an extending window starts at
+    ``p + 2 + k`` and grows by ``k + 1`` per period."""
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, size=p)
     if extending:
@@ -379,6 +354,17 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
             math.prod(1.0 - psi for psi in schedule[: k + 1]) for k in range(len(schedule))
         ]
 
+    # the recorded intensities and each period's sample portfolio rebuild
+    # the weights bit for bit; the portfolio comes from the block's two-pass
+    # moments, or, on an extending window after its first period, from the
+    # pooled ones
+    weights, pooled = target, PooledStats(p)
+    for i, (rec, block) in enumerate(zip(state.history, blocks)):
+        pooled = pooled.updated(block)
+        cov = pooled.cov() if extending and i else sample_moments(block)[1]
+        weights = rec.intensity * gmv_weights(cov) + (1.0 - rec.intensity) * weights
+    assert np.array_equal(weights, state.weights)
+
 
 # ---------------------------------------------------------------------------
 # documentation
@@ -390,7 +376,7 @@ _NUMBER = re.compile(r"-?\d+\.\d+")
 def test_readme_library_quick_start_prints_its_comments(capsys):
     """The README's library example runs, and each printed number matches
     the one in its line's comment to the decimals shown there."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quick start (library)", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})

@@ -8,25 +8,24 @@ Covers:
   agreement with the limit form, its reduction to the fresh-window
   recursion when nothing overlaps, and its exactness once the target's
   share has gone
-- the extending-window schedule and the stateful stepping interface
-- the identity linking the cross coefficient to the two-sample
-  resolvent constant at matched concentrations
+- the extending-window schedule: a first mixing coefficient of exactly
+  one and losses that fall as the window grows
+- the first weights strategies 1, 2, 4 and 7 share bit for bit, and
+  strategy 7 carrying nothing over from earlier blocks
+
+The stepping invariants both window kinds share, the bit-for-bit rebuild
+of the weights included, are ``test_nonoverlap.py::test_pipeline_invariants``;
+the link between the cross coefficient and the two-sample resolvent
+constant is acceptance criterion 6.
 """
 
 import logging
-import math
 
 import numpy as np
 import pytest
 
 from gmvshrink import nonoverlap
-from gmvshrink.core import (
-    DegenerateInputError,
-    InsufficientSampleError,
-    PooledStats,
-    gmv_weights,
-    sample_moments,
-)
+from gmvshrink.core import DegenerateInputError, InsufficientSampleError
 from gmvshrink.nonoverlap import cross_excess, feasible_intensity, replay_intensities
 from gmvshrink.overlap import (
     cross_term,
@@ -35,7 +34,6 @@ from gmvshrink.overlap import (
     optimal_intensity,
     step,
 )
-from gmvshrink.rmt import cross_resolvent_constant
 from gmvshrink.sim import build_population, generate
 from gmvshrink.strategies import weight_sequence
 
@@ -194,13 +192,6 @@ def test_schedule_first_mixing_is_exactly_one():
     assert intensities[1] != fresh[1]
 
 
-def test_schedule_is_deterministic():
-    counts = [20, 30, 40, 50]
-    a = replay_intensities(0.8, counts, 10, extending=True)
-    b = replay_intensities(0.8, counts, 10, extending=True)
-    assert a == b
-
-
 def test_schedule_losses_decrease_with_growing_window():
     _, result = replay_intensities(2.0, [20, 30, 40, 50, 60], 10, extending=True)
     losses = (2.0,) + tuple(result)
@@ -235,20 +226,8 @@ def test_target_share_reaching_zero_is_exact(caplog):
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# weights across strategies
 # ---------------------------------------------------------------------------
-
-
-def test_first_step_matches_fresh_window_pipeline_bitwise():
-    """One pooled window cannot overlap anything, so the two pipelines agree."""
-    rng = np.random.default_rng(149)
-    block = rng.standard_normal((10, 40))
-    b = np.full(10, 0.1)
-    fresh = nonoverlap.init(b, first_block=block, mode="fixed")
-    pooled = init(b, first_block=block, mode="fixed")
-    np.testing.assert_array_equal(fresh.weights, pooled.weights)
-    assert fresh.loss == pooled.loss
-    assert fresh.intensities[0] == pooled.intensities[0]
 
 
 def test_first_weights_agree_across_strategies_bitwise():
@@ -271,69 +250,3 @@ def test_strategy_7_is_memoryless_bitwise():
     target = np.full(p, 1.0 / p)
     for block, weights in zip(blocks, weight_sequence(blocks, 7, target), strict=True):
         assert np.array_equal(weights, next(weight_sequence([block], 1, target)))
-
-
-def test_later_increments_may_be_single_columns():
-    rng = np.random.default_rng(157)
-    state = init(np.full(5, 0.2), first_block=rng.standard_normal((5, 20)))
-    for _ in range(3):
-        state = step(state, rng.standard_normal((5, 1)))
-    assert state.period == 4
-    assert [rec.n_obs for rec in state.history] == [20, 21, 22, 23]
-
-
-def test_target_share_is_product_of_complements():
-    rng = np.random.default_rng(163)
-    state = init(np.full(8, 0.125), first_block=rng.standard_normal((8, 30)))
-    for _ in range(5):
-        state = step(state, rng.standard_normal((8, 10)))
-        assert state.target_share == math.prod(1.0 - psi for psi in state.intensities)
-        assert 0.0 <= state.target_share <= 1.0
-        assert abs(state.weights.sum() - 1.0) < 1e-10
-
-
-def test_pooled_covariance_matches_concatenated_blocks():
-    rng = np.random.default_rng(167)
-    blocks = [rng.standard_normal((6, n)) for n in (25, 7, 1, 12)]
-    state = init(np.full(6, 1 / 6), mode="replay")
-    for block in blocks:
-        state = step(state, block)
-    stacked = np.hstack(blocks)
-    _, cov = sample_moments(stacked)
-    np.testing.assert_allclose(state.pooled.cov(), cov, rtol=1e-9, atol=1e-12)
-    assert state.pooled.count == stacked.shape[1]
-
-
-def test_replay_reconstruction_is_bitwise():
-    """Applied intensities and the pooled sample portfolios, rebuilt from the
-    blocks, reproduce the holding weights exactly."""
-    rng = np.random.default_rng(173)
-    b = np.full(12, 1 / 12)
-    blocks = [rng.standard_normal((12, n)) for n in (40, 8, 15, 5)]
-    state = init(b, mode="replay")
-    for block in blocks:
-        state = step(state, block)
-    w, pooled = state.target, PooledStats(12)
-    for i, (psi, block) in enumerate(zip(state.intensities, blocks)):
-        pooled = pooled.updated(block)
-        # the first pooled window uses two-pass moments, as in the step
-        cov = sample_moments(block)[1] if i == 0 else pooled.cov()
-        w = psi * gmv_weights(cov) + (1.0 - psi) * w
-    np.testing.assert_array_equal(w, state.weights)
-
-
-# ---------------------------------------------------------------------------
-# link to the two-sample resolvent constant
-# ---------------------------------------------------------------------------
-
-
-def test_cross_term_matches_scaled_resolvent_constant():
-    """(1-C_j)(1-C_i) times the two-sample constant approaches the cross
-    coefficient as the matrix dimensions grow at fixed concentrations."""
-    d_small = cross_resolvent_constant(200, 200, 100).d
-    d_large = cross_resolvent_constant(400, 400, 200).d
-    target = cross_term(0.5, 0.25)
-    gap_small = abs(0.375 * d_small - target)
-    gap_large = abs(0.375 * d_large - target)
-    assert gap_small < 0.005
-    assert gap_large < gap_small

@@ -16,10 +16,11 @@ code and fails, even when a test reads it. A read of the same name in any
 module counts, so the check never flags a helper that is read, at the cost
 of missing a dead one that shares its name with a live one.
 
-The same parse of those files fails on any ``open()`` call in text mode
-without an ``encoding`` argument, which would read and write in the
-locale's encoding.
-A mode holding ``b`` is exempt.
+The same parse of those files, and of the test modules, fails on any
+``open()`` call in text mode and any ``.read_text()`` or ``.write_text()``
+call without an ``encoding`` argument, which would read and write in the
+locale's encoding. A mode holding ``b`` is exempt, and so is
+``test_acceptance.py``, which stays as written.
 """
 
 import ast
@@ -27,13 +28,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmvshrink"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gmvshrink"
 #: the package modules and the script that writes the golden files
-MODULES = pytest.mark.parametrize(
-    "path",
-    [*sorted(PACKAGE.glob("*.py")), Path(__file__).resolve().parent / "golden" / "make_golden.py"],
-    ids=lambda p: p.stem,
-)
+SOURCES = [*sorted(PACKAGE.glob("*.py")), TESTS / "golden" / "make_golden.py"]
+MODULES = pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 
 KEPT = {
     # aliases perfbench/tests/tracer_checks.py asserts
@@ -82,7 +81,7 @@ def test_kept_re_exports_are_still_unread_where_they_are_imported():
     found = {
         (path.stem, name)
         for path in PACKAGE.glob("*.py")
-        for name in unused_imports(path.read_text())
+        for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == KEPT
 
@@ -131,16 +130,28 @@ def test_package_reads_every_private_definition():
     assert not dead, f"private definitions no module reads: {sorted(dead)}"
 
 
+#: the position of the ``encoding`` argument of ``open``, ``Path.read_text``
+#: and ``Path.write_text``
+ENCODING_POSITION = {"open": 3, "read_text": 0, "write_text": 1}
+
+
 def opens_without_encoding(source):
-    """Lines of the text-mode ``open()`` calls in ``source`` that name no encoding."""
+    """Lines of the text-mode ``open()`` calls and the ``.read_text()`` and
+    ``.write_text()`` calls in ``source`` that name no encoding."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            name = "open"
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in ("read_text", "write_text"):
+            name = node.func.attr
+        else:
             continue
         keywords = {k.arg: k.value for k in node.keywords}
-        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        mode = node.args[1] if name == "open" and len(node.args) > 1 else keywords.get("mode")
         binary = isinstance(mode, ast.Constant) and "b" in mode.value
-        if not binary and len(node.args) < 4 and "encoding" not in keywords:
+        if not binary and len(node.args) <= ENCODING_POSITION[name] and "encoding" not in keywords:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -149,11 +160,23 @@ def test_encoding_finder_exempts_binary_modes_only():
     source = (
         "open(a)\nopen(a, 'rb')\nopen(a, mode='wb')\nopen(a, 'w', encoding='utf-8')\n"
         "open(a, 'r', -1, 'utf-8')\nopen(a, newline='')\nhandle.open(a)\n"
+        "path.read_text()\npath.read_text(encoding='utf-8')\npath.read_text('utf-8')\n"
+        "path.write_text(s)\npath.write_text(s, encoding='utf-8')\npath.write_text(s, 'utf-8')\n"
+        "path.read_bytes()\npath.write_bytes(b)\n"
     )
-    assert opens_without_encoding(source) == [1, 6]
+    assert opens_without_encoding(source) == [1, 6, 8, 11]
 
 
-@MODULES
+#: ``SOURCES`` and the test modules but the acceptance tests, which stay as
+#: written (their one ``write_text`` writes ASCII)
+TEXT_FILE_READERS = pytest.mark.parametrize(
+    "path",
+    SOURCES + [path for path in sorted(TESTS.glob("*.py")) if path.name != "test_acceptance.py"],
+    ids=lambda p: p.stem,
+)
+
+
+@TEXT_FILE_READERS
 def test_module_names_the_encoding_of_every_text_file_it_opens(path):
     lines = opens_without_encoding(path.read_text(encoding="utf-8"))
     assert not lines, f"{path.name} opens text files without an encoding on lines {lines}"
