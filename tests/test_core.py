@@ -251,11 +251,6 @@ def test_target_loss_needs_enough_observations():
     estimate_target_loss_from_cov(sample_moments(block)[1], block.shape[1], b)
 
 
-def test_target_loss_from_cov_validates_sample_size():
-    with pytest.raises(InsufficientSampleError):
-        estimate_target_loss_from_cov(np.eye(3), 4, np.full(3, 1 / 3))
-
-
 # ---------------------------------------------------------------------------
 # solve_spd
 # ---------------------------------------------------------------------------

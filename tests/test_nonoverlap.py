@@ -10,12 +10,9 @@ Covers:
 - invariants of the shared pipeline over random window sizes, modes and
   window kinds (a property test), the bit-for-bit rebuild of the holding
   weights from the recorded intensities included
-- the README's library quick start printing the values its comments show
 """
 
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,26 +362,3 @@ def test_pipeline_invariants(p, extra, mode, extending, seed):
         weights = rec.intensity * gmv_weights(cov) + (1.0 - rec.intensity) * weights
     assert np.array_equal(weights, state.weights)
 
-
-# ---------------------------------------------------------------------------
-# documentation
-# ---------------------------------------------------------------------------
-
-_NUMBER = re.compile(r"-?\d+\.\d+")
-
-
-def test_readme_library_quick_start_prints_its_comments(capsys):
-    """The README's library example runs, and each printed number matches
-    the one in its line's comment to the decimals shown there."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Quick start (library)", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
-    exec(compile(code, "README.md", "exec"), {})
-    printed = capsys.readouterr().out.splitlines()
-    comments = [line.split("#", 1)[1] for line in code.splitlines() if line.startswith("print(")]
-    assert len(printed) == len(comments) == 3
-    for out, comment in zip(printed, comments):
-        got, shown = _NUMBER.findall(out), _NUMBER.findall(comment)
-        assert len(got) == len(shown), (out, comment)
-        for value, text in zip(got, shown):
-            assert round(float(value), len(text.split(".")[1])) == float(text), (out, comment)

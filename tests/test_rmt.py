@@ -8,6 +8,10 @@ Covers:
 - harness determinism, tail options and input validation
 - the direction vector against the first column of the sign-fixed QR
   factor of its seeded draw
+
+The simulated one-window forms against their limits (p=200, n=400) and
+the two-window cross forms against each other and their closed form
+(p=100, n=m=200) are acceptance criteria 4 and 5.
 """
 
 import numpy as np
@@ -98,12 +102,6 @@ def test_mc_is_deterministic_given_seed():
     assert first == second
 
 
-def test_mc_single_rep_has_zero_stderr():
-    spec = GramSpec(p=20, n=60)
-    _, stderr = mc_quadratic_form(spec, "inv", reps=1, seed=13)
-    assert stderr == 0.0
-
-
 def test_mc_input_validation():
     spec = GramSpec(p=20, n=60)
     with pytest.raises(ValueError):
@@ -131,12 +129,6 @@ def test_gram_spec_validation():
             GramSpec(p=5, **counts)
 
 
-def test_single_window_form_tracks_limit():
-    mean, stderr = mc_quadratic_form(GramSpec(p=100, n=200), "inv", reps=60, seed=17)
-    assert mean == pytest.approx(2.0, rel=0.06)
-    assert stderr < 0.05
-
-
 def test_heavy_tail_option_tracks_same_limit():
     """The limits are distribution-free within the unit-variance class."""
     mean, _ = mc_quadratic_form(GramSpec(p=100, n=200), "inv", reps=40, seed=19, tails="t9")
@@ -152,15 +144,6 @@ def test_mc_fluctuations_shrink_with_dimension():
         mc_quadratic_form(GramSpec(p=100, n=200), "inv", reps=30, seed=s)[0] for s in range(10)
     ]
     assert np.mean(np.abs(np.array(large) - 2.0)) < np.mean(np.abs(np.array(small) - 2.0))
-
-
-def test_cross_forms_agree_with_each_other():
-    """Centering shifts the nested form only at O(1/n)."""
-    spec = GramSpec(p=100, n=200, m=200)
-    mean_u, se_u = mc_quadratic_form(spec, "cross", reps=40, seed=23)
-    mean_c, se_c = mc_quadratic_form(spec, "cross_centered", reps=40, seed=23)
-    joint = np.hypot(se_u, se_c)
-    assert abs(mean_u - mean_c) < 2.0 * joint
 
 
 def test_cross_form_low_concentration_limit():

@@ -3,18 +3,21 @@ private module-level definition is read by some module, and every text
 file a module opens names its encoding.
 
 No linter runs on this tree, so this test stands in for the unused-import
-check: it parses each module of ``src/gmvshrink``, and the script
-``tests/golden/make_golden.py`` that writes the golden files, and fails on
-any name an ``import`` binds that no expression of the module reads. ``KEPT`` lists
-the re-exports that are imported only to be read from outside the module;
-each entry says who reads it.
+check: it parses each module of ``src/gmvshrink``, the script
+``tests/golden/make_golden.py`` that writes the golden files, and each test
+module (``conftest.py`` among them), and fails on any name an ``import``
+binds that no expression of the module reads. ``KEPT`` lists the
+re-exports that are imported only to be read from outside the module; each
+entry says who reads it.
 
 A module-level function, class or constant whose name starts with one
 underscore is private to the package; one that no module of
 ``src/gmvshrink`` reads, by name, attribute or ``from`` import, is dead
-code and fails, even when a test reads it. A read of the same name in any
-module counts, so the check never flags a helper that is read, at the cost
-of missing a dead one that shares its name with a live one.
+code and fails, even when a test reads it. The test modules, taken as one
+set, are held to the same rule, so a helper that deleted tests leave behind
+fails too. A read of the same name in any module of the set counts, so the
+check never flags a helper that is read, at the cost of missing a dead one
+that shares its name with a live one.
 
 The same parse of those files, and of the test modules, fails on any
 ``open()`` call in text mode and any ``.read_text()`` or ``.write_text()``
@@ -32,7 +35,9 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gmvshrink"
 #: the package modules and the script that writes the golden files
 SOURCES = [*sorted(PACKAGE.glob("*.py")), TESTS / "golden" / "make_golden.py"]
-MODULES = pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+#: the test modules, ``conftest.py`` among them
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+MODULES = pytest.mark.parametrize("path", SOURCES + TEST_MODULES, ids=lambda p: p.stem)
 
 KEPT = {
     # aliases perfbench/tests/tracer_checks.py asserts
@@ -130,6 +135,12 @@ def test_package_reads_every_private_definition():
     assert not dead, f"private definitions no module reads: {sorted(dead)}"
 
 
+def test_test_modules_read_every_private_definition():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TEST_MODULES}
+    dead = unread_private_definitions(sources)
+    assert not dead, f"private definitions no test module reads: {sorted(dead)}"
+
+
 #: the position of the ``encoding`` argument of ``open``, ``Path.read_text``
 #: and ``Path.write_text``
 ENCODING_POSITION = {"open": 3, "read_text": 0, "write_text": 1}
@@ -171,7 +182,7 @@ def test_encoding_finder_exempts_binary_modes_only():
 #: written (their one ``write_text`` writes ASCII)
 TEXT_FILE_READERS = pytest.mark.parametrize(
     "path",
-    SOURCES + [path for path in sorted(TESTS.glob("*.py")) if path.name != "test_acceptance.py"],
+    SOURCES + [path for path in TEST_MODULES if path.name != "test_acceptance.py"],
     ids=lambda p: p.stem,
 )
 
