@@ -10,16 +10,35 @@ when the package is not installed.
 
 ``table_tests`` turns a table of refusals into tests named by the ids of
 its rows; the command-line and file-reader refusals use it.
+``tracemalloc_peak`` measures the working set of one call.
+
+Every collected test id must be nameable in a plain list of ids: one that
+holds whitespace, a backslash (pytest's escape for a control character)
+or a non-printable character stops the run before any test starts.
 """
 
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def unnameable_ids(ids):
+    """The ids among ``ids`` that hold whitespace, a backslash or a
+    non-printable character, which a plain list of ids cannot name."""
+    return [i for i in ids if not i.isprintable() or any(c.isspace() or c == "\\" for c in i)]
+
+
+def pytest_collection_modifyitems(items):
+    bad = unnameable_ids(item.nodeid for item in items)
+    if bad:
+        raise pytest.UsageError("ids with whitespace, a backslash or a non-printable character:\n"
+                                + "\n".join(bad))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -57,3 +76,13 @@ def table_tests(check, table):
         return test
 
     return {name: test_of(rows_by_case) for name, rows_by_case in cases.items()}
+
+
+def tracemalloc_peak(call, *args):
+    """``call(*args)`` and the tracemalloc peak of that call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -4,9 +4,10 @@
 and counts: the module aliases it rebinds and the Cholesky calls and
 distinct matrices of one traced ``monte-carlo`` cycle. Its file name keeps
 it out of the default collection, so a test runs it in a subprocess from
-the repository root. Two more tests put one ``backtest-file`` cycle
-through the benchmark client's output checks the same way, untraced and
-traced, so a change to ``weights`` or ``backtest`` that the client
+the repository root. One more test puts one traced ``backtest-file`` cycle
+through the benchmark client the same way. The client re-runs each traced
+command untraced, through the same output checks, and requires the same
+output, so a change to ``weights`` or ``backtest`` that the client
 refuses, or that the tracer's rebound functions break, fails here.
 """
 
@@ -30,29 +31,28 @@ def test_tracer_checks_pass():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-#: one backtest-file command group, traced when argv[2] is "1"; prints each
-#: command's error (None if it passed) and, traced, the tracer's error count
+#: one traced backtest-file command group; prints the argv and error (None if
+#: it passed) of each timed and each extra command, and the tracer's errors
 _BACKTEST_FILE_CYCLE = textwrap.dedent("""
     import json, sys
     sys.path[:0] = ["src", "perfbench"]
     import client  # first: imports gmvshrink.cli, which pins BLAS threads
     from inputs import returns_file
 
-    work, trace = sys.argv[1], int(sys.argv[2])
-    job = {"workload": "backtest-file", "seed": 7, "seconds": 0, "trace": trace,
-           "work_dir": work, "input": returns_file(7, work)}
-    if trace:
-        spec = json.load(open("BENCHMARK.json"))
-        job["layer_metrics"] = [m["name"] for m in spec["per_layer"]]
+    work = sys.argv[1]
+    spec = json.load(open("BENCHMARK.json"))
+    job = {"workload": "backtest-file", "seed": 7, "seconds": 0, "trace": 1,
+           "work_dir": work, "input": returns_file(7, work),
+           "layer_metrics": [m["name"] for m in spec["per_layer"]]}
     result = client.run_job(job)
-    errors = [c["error"] for c in result["timed"] + result["extra"]]
-    print(json.dumps([errors, result.get("layers", {}).get("trace.errors")]))
+    runs = {key: [(c["argv"], c["error"]) for c in result[key]] for key in ("timed", "extra")}
+    print(json.dumps([runs, result["layers"]["trace.errors"]]))
 """)
 
 
-def _backtest_file_cycle(work, trace):
+def _backtest_file_cycle(work):
     result = subprocess.run(
-        [sys.executable, "-c", _BACKTEST_FILE_CYCLE, str(work), str(trace)],
+        [sys.executable, "-c", _BACKTEST_FILE_CYCLE, str(work)],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -61,13 +61,14 @@ def _backtest_file_cycle(work, trace):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_backtest_file_cycle_passes_the_client_checks(tmp_path):
-    errors, _ = _backtest_file_cycle(tmp_path, trace=0)
-    assert errors and errors == [None] * len(errors), errors
-
-
 def test_traced_backtest_file_cycle_passes_the_client_checks(tmp_path):
-    # the client also checks that tracing leaves every output unchanged
-    errors, trace_errors = _backtest_file_cycle(tmp_path, trace=1)
-    assert errors and errors == [None] * len(errors), errors
+    """The reference report, then one group traced, then the group again
+    untraced: every command passes the client's checks, and tracing leaves
+    each output unchanged."""
+    runs, trace_errors = _backtest_file_cycle(tmp_path)
+    timed, extra = runs["timed"], runs["extra"]
+    assert len(timed) == 3 and len(extra) == 4, runs
+    assert [argv for argv, _ in extra[1:]] == [argv for argv, _ in timed]
+    errors = [error for _, error in timed + extra]
+    assert errors == [None] * 7, errors
     assert trace_errors == 0

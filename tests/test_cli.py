@@ -511,6 +511,15 @@ def test_output_naming_another_file_of_the_run_is_config_error(
         ("simulate", ["--out", "nodir/x.csv"], "does not exist"),
         ("simulate", ["--out", "sub"], "is a directory"),
     ],
+    ids=[
+        "backtest-wealth-out-in-missing-dir",
+        "backtest-out-is-dir",
+        "backtest-out-under-a-file",
+        "weights-out-in-missing-dir",
+        "weights-out-is-dir",
+        "simulate-out-in-missing-dir",
+        "simulate-out-is-dir",
+    ],
 )
 def test_unwritable_output_path_is_config_error_before_any_work(
     tmp_path, monkeypatch, capsys, command, flags, message

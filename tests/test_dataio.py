@@ -12,7 +12,6 @@ Covers:
 - metadata hashing determinism
 """
 
-import tracemalloc
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -20,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import table_tests
+from conftest import table_tests, tracemalloc_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +179,7 @@ def test_bulk_parser_matches_strict_parser(tmp_path_factory, p, values, style, g
         "date,a,b\n2021-01-01,0.1\r,0.2\n2021-01-02,0.3,0.4\n",
         "date,a,b\r\n2021-01-01,0.1,0.2\r\r\n2021-01-02,0.3,0.4\r\n",
     ],
+    ids=["cr-in-header", "cr-in-row", "cr-cr-lf"],
 )
 def test_lone_carriage_return_goes_to_the_strict_parser(tmp_path, text):
     """A carriage return is a line end to the csv module, so the bulk path
@@ -213,21 +213,11 @@ def _write_returns_file(path, assets, days, seed=5):
     return path
 
 
-def _peak_read(path):
-    """``read_returns_csv(path)`` and the tracemalloc peak of that call."""
-    tracemalloc.start()
-    try:
-        parsed = read_returns_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return parsed, peak
-
-
 def test_read_returns_working_set_stays_near_the_result(tmp_path):
     """Ingest holds the result and one chunk of text, not the whole
     file's text, lines and cells at once."""
-    (_, _, got), peak = _peak_read(_write_returns_file(tmp_path / "r.csv", 25, 20_000))
+    path = _write_returns_file(tmp_path / "r.csv", 25, 20_000)
+    (_, _, got), peak = tracemalloc_peak(read_returns_csv, path)
     assert got.shape == (25, 20_000)
     assert got.flags["C_CONTIGUOUS"]
     assert peak < 3 * got.nbytes
@@ -236,7 +226,8 @@ def test_read_returns_working_set_stays_near_the_result(tmp_path):
 def test_read_returns_working_set_of_a_wide_file(tmp_path):
     """A chunk is bounded in bytes, so a wide file's chunk stays small
     beside the result; the result is filled in place, not concatenated."""
-    (_, _, got), peak = _peak_read(_write_returns_file(tmp_path / "r.csv", 200, 2_000))
+    path = _write_returns_file(tmp_path / "r.csv", 200, 2_000)
+    (_, _, got), peak = tracemalloc_peak(read_returns_csv, path)
     assert got.shape == (200, 2_000)
     assert got.flags["C_CONTIGUOUS"]
     assert peak < 1.5 * got.nbytes
@@ -251,7 +242,7 @@ def test_crlf_file_takes_the_bulk_path(tmp_path):
         assert dataio._parse_bulk(str(crlf_path), handle) is not None
     expected = read_returns_csv(lf_path)
     with mock.patch.object(dataio, "_parse_strict", side_effect=AssertionError("strict path")):
-        (dates, names, got), peak = _peak_read(crlf_path)
+        (dates, names, got), peak = tracemalloc_peak(read_returns_csv, crlf_path)
     assert dates == expected[0]
     assert names == expected[1]
     assert got.strides == expected[2].strides
@@ -295,7 +286,7 @@ def test_strict_parser_holds_one_flat_buffer(tmp_path, assets, days, bound):
     with open(quoted_path, "rb") as handle:
         assert dataio._parse_bulk(str(quoted_path), handle) is None
     expected = read_returns_csv(lf_path)
-    (dates, names, got), peak = _peak_read(quoted_path)
+    (dates, names, got), peak = tracemalloc_peak(read_returns_csv, quoted_path)
     assert (dates, names) == expected[:2]
     assert got.flags["C_CONTIGUOUS"]
     assert got.tobytes() == expected[2].tobytes()

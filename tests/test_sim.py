@@ -16,10 +16,10 @@ Covers:
 import dataclasses
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import tracemalloc_peak
 
 from gmvshrink import sim
 from gmvshrink.core import InsufficientSampleError, SingularityError, relative_loss, sample_moments
@@ -472,20 +472,11 @@ def test_strategy_cannot_read_a_block_not_yet_drawn(monkeypatch):
     assert len(drawn) == 1
 
 
-def _experiment_peak(config):
-    tracemalloc.start()
-    try:
-        run_experiment(config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_working_set_does_not_grow_with_periods():
     """Blocks are fed to the strategies as they are drawn, so ten times
     the periods keeps about the same peak instead of ten times the blocks."""
-    short = _experiment_peak(ScenarioConfig("t5", 30, 200, 4, 2, 3))
-    long = _experiment_peak(ScenarioConfig("t5", 30, 200, 40, 2, 3))
+    _, short = tracemalloc_peak(run_experiment, ScenarioConfig("t5", 30, 200, 4, 2, 3))
+    _, long = tracemalloc_peak(run_experiment, ScenarioConfig("t5", 30, 200, 40, 2, 3))
     assert long < 1.5 * short
 
 

@@ -24,12 +24,16 @@ The same parse of those files, and of the test modules, fails on any
 call without an ``encoding`` argument, which would read and write in the
 locale's encoding. A mode holding ``b`` is exempt, and so is
 ``test_acceptance.py``, which stays as written.
+
+The finder behind ``conftest.py``'s collection guard, which stops a run on
+a test id that holds whitespace or an escaped character, is checked here.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from conftest import unnameable_ids
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gmvshrink"
@@ -191,3 +195,8 @@ TEXT_FILE_READERS = pytest.mark.parametrize(
 def test_module_names_the_encoding_of_every_text_file_it_opens(path):
     lines = opens_without_encoding(path.read_text(encoding="utf-8"))
     assert not lines, f"{path.name} opens text files without an encoding on lines {lines}"
+
+
+def test_id_finder_sees_whitespace_escapes_and_control_characters():
+    ids = ["t[a b]", "t[a\\rb]", "t[a\x07b]", "t[ok-1]"]
+    assert unnameable_ids(ids) == ids[:3]
